@@ -276,11 +276,12 @@ def _replay_control_plane(sealer: Sealer, keys_root: Path, store: ChunkStore,
 
 
 def _seal_stream(sealer: Sealer, ciphertexts) -> dict:
-    n = active = 0
+    n = active = discarded = 0
     started = time.perf_counter()
     for ct in ciphertexts:
         sr = sealer.ingest(ct)
         if sr is None:
+            discarded += 1
             continue
         n += 1
         if sr.state is SensorState.ACTIVE:
@@ -293,7 +294,7 @@ def _seal_stream(sealer: Sealer, ciphertexts) -> dict:
         "active": active,
         "passive": n - active,
         "chunks": len(seal_times),
-        "discarded": len(sealer.alerts),
+        "discarded": discarded,
         "seconds": elapsed,
         "seal_ms_p50": 1000 * statistics.median(seal_times) if seal_times else 0.0,
         "seal_ms_p95": 1000 * sorted(seal_times)[int(0.95 * (len(seal_times) - 1))] if seal_times else 0.0,
@@ -477,8 +478,7 @@ def cmd_verify_auditor(args, config) -> int:
         store = _open_store(_store_root(args, config))
         first, last = _parse_range(args.range) if args.range else _whole_log(store)
         bundle = store.get_auditor_bundle(first, last)
-    verdicts, summary = audit_range(bundle, enclave_pub, notifier_pub,
-                                    workers=args.workers)
+    verdicts, summary = audit_range(bundle, enclave_pub, notifier_pub)
     _print_verdicts(verdicts, summary)
     return 0 if all(v.ok for v in verdicts) else 1
 
@@ -669,8 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("verify-auditor", help="audit chunks offline"))
     p.add_argument("--range", help="chunk range A..B (default: whole log)")
     p.add_argument("--bundle", help="verify a bundle file instead of the store")
-    p.add_argument("--workers", type=int, default=1,
-                   help="verify chunks in parallel (data-parallel across chunks)")
     p.set_defaults(func=cmd_verify_auditor)
 
     p = common(sub.add_parser("verify-user", help="user-verify chunks offline"))

@@ -24,28 +24,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .crypto import KeyPair, PublicKeys, Role, seal_to, sha256, xor_bytes
+from .crypto import KeyPair, PublicKeys, Role, seal_to, sha256
 from .events import (
     DeviceId,
     SensorId,
     SensorReading,
     SensorState,
     StatefulReading,
-    encode_reading,
     encode_wire_reading,
 )
-from .sealing import CHAIN_SEED, ChunkProof
+from .sealing import CHAIN_SEED, ChunkProof, chain_step, proof_payload, user_step
 from .store import (
     SEC_ACTIVE,
-    SEC_CHECKPOINTS,
-    SEC_INTEGRITY_PROOF,
-    SEC_ORDER,
     SEC_REDACTED,
-    SEC_RULESET,
-    SEC_USER_PROOF,
     ChunkStore,
-    _pack_order,
-    _proof_bytes,
+    derive_user_records,
     parse_chunk,
     read_sections,
     serialize_sections,
@@ -172,21 +165,6 @@ class TamperReport:
     record: int | None = None
 
 
-def _data_start() -> int:
-    # header (16) + section table (7 x 26)
-    return 16 + 7 * 26
-
-
-def _section_offsets(sections: dict[int, tuple[bytes, int]]) -> dict[int, int]:
-    offsets = {}
-    pos = _data_start()
-    for sec_id in (SEC_ACTIVE, SEC_REDACTED, SEC_ORDER, SEC_CHECKPOINTS,
-                   SEC_INTEGRITY_PROOF, SEC_USER_PROOF, SEC_RULESET):
-        offsets[sec_id] = pos
-        pos += len(sections[sec_id][0])
-    return offsets
-
-
 def _value_byte_offsets(enc: bytes, redacted: bool) -> list[int]:
     """Byte positions inside a record that hold values, not length prefixes."""
     if redacted:
@@ -206,62 +184,6 @@ def _pick_chunk(store: ChunkStore, action: TamperAction, rng: random.Random) -> 
             raise WorkloadError(f"chunk {action.chunk} not in store")
         return action.chunk
     return rng.choice(indices)
-
-
-def _merged_spans(parsed) -> list[tuple[int, int, int]]:
-    """Per merged record: (is_active, ordinal within section, offset in section)."""
-    spans = []
-    a_off = r_off = 0
-    ai = ri = 0
-    for bit in parsed.order:
-        if bit:
-            spans.append((1, ai, a_off))
-            a_off += len(parsed.active_encs[ai])
-            ai += 1
-        else:
-            spans.append((0, ri, r_off))
-            r_off += len(parsed.redacted_encs[ri])
-            ri += 1
-    return spans
-
-
-def _reserialize(parsed, index: int) -> bytes:
-    checkpoints = parsed.checkpoint_every.to_bytes(4, "little") + b"".join(parsed.checkpoints)
-    sections = {
-        SEC_ACTIVE: (b"".join(parsed.active_encs), len(parsed.active_encs)),
-        SEC_REDACTED: (b"".join(parsed.redacted_encs), len(parsed.redacted_encs)),
-        SEC_ORDER: (_pack_order(parsed.order), len(parsed.order)),
-        SEC_CHECKPOINTS: (checkpoints, len(parsed.checkpoints)),
-        SEC_INTEGRITY_PROOF: (_proof_bytes(parsed.integrity_proof), 1),
-        SEC_USER_PROOF: (_proof_bytes(parsed.user_proof), 1),
-        SEC_RULESET: (parsed.ruleset_digest, 1),
-    }
-    return serialize_sections(index, sections)
-
-
-def _update_manifest_entry(store: ChunkStore, index: int, blob: bytes) -> None:
-    _, sections = read_sections(blob)
-    entry = store.manifest["chunks"][str(index)]
-    entry["bytes"] = len(blob)
-    entry["n_active"] = sections[SEC_ACTIVE][1]
-    entry["n_passive"] = sections[SEC_REDACTED][1]
-    entry["n"] = sections[SEC_ORDER][1]
-    entry["sections"] = {str(sid): [len(data), count] for sid, (data, count) in sections.items()}
-    store._save_manifest()
-
-
-def _neighbor_strings(store: ChunkStore, index: int) -> tuple[bytes, bytes, bytes]:
-    indices = store.indices()
-    prev = store.chunk_string(index - 1)
-    if prev is None and index == indices[0]:
-        prev = store.seed_string()
-    nxt = store.chunk_string(index + 1)
-    if nxt is None and index == indices[-1]:
-        nxt = store.terminal()
-    own = store.chunk_string(index)
-    if prev is None or nxt is None or own is None:
-        raise WorkloadError("cannot rebuild the end-of-chunk mask: strings unavailable")
-    return prev, own, nxt
 
 
 def apply_tamper(store_root: str | Path, action: TamperAction, rng: random.Random | None = None) -> TamperReport:
@@ -307,90 +229,72 @@ def apply_tamper(store_root: str | Path, action: TamperAction, rng: random.Rando
     index = _pick_chunk(store, action, rng)
     entry = store.manifest["chunks"][str(index)]
     path = store.root / entry["file"]
-    blob = bytearray(path.read_bytes())
+    blob = path.read_bytes()
 
     if kind is TamperKind.TRUNCATE_CHUNK:
         cut = rng.randint(1, max(1, len(blob) // 4))
-        path.write_bytes(bytes(blob[:-cut]))
+        path.write_bytes(blob[:-cut])
         entry["bytes"] = len(blob) - cut
         store._save_manifest()
         return TamperReport(kind, index, f"{cut} bytes truncated from chunk {index}")
 
-    parsed = parse_chunk(bytes(blob))
+    parsed = parse_chunk(blob)
+    slots = list(parsed.slots())
 
     if kind is TamperKind.MODIFY_READING:
-        spans = _merged_spans(parsed)
-        ordinal = action.record if action.record is not None else rng.randint(1, len(spans))
-        is_active, sec_ordinal, sec_off = spans[ordinal - 1]
-        enc = (parsed.active_encs if is_active else parsed.redacted_encs)[sec_ordinal]
-        offsets = _section_offsets(read_sections(bytes(blob))[1])
-        base = offsets[SEC_ACTIVE if is_active else SEC_REDACTED] + sec_off
-        rel = rng.choice(_value_byte_offsets(enc, redacted=not is_active))
-        blob[base + rel] ^= 1 << rng.randint(0, 7)
-        path.write_bytes(bytes(blob))
+        ordinal = action.record if action.record is not None else rng.randint(1, len(slots))
+        is_active, i = slots[ordinal - 1]
+        encs = parsed.active_encs if is_active else parsed.redacted_encs
+        sec_id = SEC_ACTIVE if is_active else SEC_REDACTED
+        header_index, sections = read_sections(blob)
+        data, count = sections[sec_id]
+        payload = bytearray(data)
+        rel = rng.choice(_value_byte_offsets(encs[i], redacted=not is_active))
+        payload[sum(map(len, encs[:i])) + rel] ^= 1 << rng.randint(0, 7)
+        sections[sec_id] = (bytes(payload), count)
+        path.write_bytes(serialize_sections(header_index, sections))
         return TamperReport(kind, index, f"bit flipped in record {ordinal} of chunk {index}", ordinal)
 
     if kind is TamperKind.DELETE_READING:
-        spans = _merged_spans(parsed)
-        ordinal = action.record if action.record is not None else rng.randint(1, len(spans))
-        is_active, sec_ordinal, _ = spans[ordinal - 1]
-        if is_active:
-            del parsed.active[sec_ordinal]
-            del parsed.active_encs[sec_ordinal]
-        else:
-            del parsed.redacted[sec_ordinal]
-            del parsed.redacted_encs[sec_ordinal]
+        ordinal = action.record if action.record is not None else rng.randint(1, len(slots))
+        is_active, i = slots[ordinal - 1]
+        del (parsed.active if is_active else parsed.redacted)[i]
         del parsed.order[ordinal - 1]
         if not parsed.order:
             raise WorkloadError("refusing to delete the only record; delete the chunk instead")
-        new_blob = _reserialize(parsed, index)
-        path.write_bytes(new_blob)
-        _update_manifest_entry(store, index, new_blob)
+        store.put_chunk(entry["file"], parsed)
         return TamperReport(kind, index, f"record {ordinal} deleted from chunk {index}", ordinal)
 
     if kind is TamperKind.INSERT_READING:
-        spans = _merged_spans(parsed)
-        ordinal = action.record if action.record is not None else rng.randint(1, len(spans) + 1)
+        ordinal = action.record if action.record is not None else rng.randint(1, len(slots) + 1)
         # reuse a neighbor's timestamp so the merged sequence stays monotone
-        anchor = min(ordinal, len(spans)) - 1
-        is_active, sec_ordinal, _ = spans[anchor]
-        t = (parsed.active[sec_ordinal].reading.time if is_active
-             else parsed.redacted[sec_ordinal].time)
-        sensor = (parsed.active[sec_ordinal].reading.sensor if is_active
-                  else parsed.redacted[sec_ordinal].sensor)
+        is_active, i = slots[min(ordinal, len(slots)) - 1]
+        anchor = parsed.active[i].reading if is_active else parsed.redacted[i]
         fabricated = StatefulReading(
-            SensorReading(DeviceId(rng.randbytes(6)), sensor, t), SensorState.ACTIVE,
+            SensorReading(DeviceId(rng.randbytes(6)), anchor.sensor, anchor.time), SensorState.ACTIVE,
         )
-        new_active_ordinal = sum(parsed.order[:ordinal - 1])
-        parsed.active.insert(new_active_ordinal, fabricated)
-        parsed.active_encs.insert(new_active_ordinal, encode_reading(fabricated))
+        parsed.active.insert(sum(parsed.order[:ordinal - 1]), fabricated)
         parsed.order.insert(ordinal - 1, 1)
-        new_blob = _reserialize(parsed, index)
-        path.write_bytes(new_blob)
-        _update_manifest_entry(store, index, new_blob)
+        store.put_chunk(entry["file"], parsed)
         return TamperReport(kind, index, f"fabricated reading inserted at {ordinal} in chunk {index}", ordinal)
 
     if kind is TamperKind.FORGE_PROOF:
-        prev, own, nxt = _neighbor_strings(store, index)
-        eoc_mask = xor_bytes(xor_bytes(prev, own), nxt)
+        prev, own, nxt = store.get_auditor_bundle(index, index).strings.resolve(index)
+        if prev is None or nxt is None or own is None:
+            raise WorkloadError("cannot rebuild the end-of-chunk mask: strings unavailable")
         rogue = KeyPair.generate(Role.ENCLAVE)
         if action.target == "user":
             fold = 0
-            from .store import derive_user_records
-            from .events import state_digest
-
             for rec in derive_user_records(parsed):
-                fold ^= int.from_bytes(state_digest(rec.tag, rec.state), "big")
-            payload = xor_bytes(fold.to_bytes(32, "big"), eoc_mask)
+                fold = user_step(fold, rec.tag, rec.state)
+            payload = proof_payload(fold.to_bytes(32, "big"), prev, own, nxt)
             parsed.user_proof = ChunkProof(own, rogue.sign(payload))
         else:
             digest = CHAIN_SEED
             for _, enc, _t in parsed.merged():
-                digest = sha256(enc + digest)
-            parsed.integrity_proof = ChunkProof(own, rogue.sign(xor_bytes(digest, eoc_mask)))
-        new_blob = _reserialize(parsed, index)
-        path.write_bytes(new_blob)
-        _update_manifest_entry(store, index, new_blob)
+                digest = chain_step(enc, digest)
+            parsed.integrity_proof = ChunkProof(own, rogue.sign(proof_payload(digest, prev, own, nxt)))
+        store.put_chunk(entry["file"], parsed)
         return TamperReport(kind, index,
                             f"{action.target} of chunk {index} re-signed with a rogue key")
 

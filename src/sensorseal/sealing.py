@@ -121,7 +121,7 @@ class OpenChunk:
     """Accumulator for the chunk currently being sealed."""
 
     __slots__ = (
-        "index", "string", "next_string", "deadline", "readings", "active",
+        "index", "string", "next_string", "deadline", "active",
         "redacted", "order", "checkpoints", "running_digest",
         "running_user_xor", "user_digests", "chain_bytes", "ruleset_digest",
         "effective_rules", "effective_acks", "closed",
@@ -132,7 +132,6 @@ class OpenChunk:
         self.string = string
         self.next_string = next_string
         self.deadline: int | None = None
-        self.readings: list[StatefulReading] = []
         self.active: list[StatefulReading] = []
         self.redacted: list[RedactedRecord] = []
         self.order: list[int] = []
@@ -148,6 +147,25 @@ class OpenChunk:
 
     def __len__(self) -> int:
         return len(self.order)
+
+
+def chain_step(record: bytes, digest: bytes) -> bytes:
+    """One link of the chain fold: SHA-256(record || previous digest)."""
+    return sha256(record + digest)
+
+
+def user_step(fold: int, tag: bytes, state: SensorState) -> int:
+    """One term of the user fold: XOR in SHA-256(tag || state), as an integer."""
+    return fold ^ int.from_bytes(state_digest(tag, state), "big")
+
+
+def proof_payload(fold: bytes, prev_string: bytes, own_string: bytes, next_string: bytes) -> bytes:
+    """The signed value of a proof: fold XOR (prev XOR own XOR next).
+
+    The end-of-chunk mask ties the fold to both neighbor strings, so
+    deleting or reordering chunks breaks the neighbors' proofs.
+    """
+    return xor_bytes(fold, xor_bytes(xor_bytes(prev_string, own_string), next_string))
 
 
 def seal_append(chunk: OpenChunk, sr: StatefulReading, checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY) -> OpenChunk:
@@ -170,11 +188,10 @@ def seal_append(chunk: OpenChunk, sr: StatefulReading, checkpoint_every: int = D
         record = encode_redacted(tag, r.sensor, sr.state, r.time)
         chunk.redacted.append(RedactedRecord(tag, r.sensor, sr.state, r.time))
         chunk.order.append(0)
-    chunk.readings.append(sr)
-    chunk.running_digest = sha256(record + chunk.running_digest)
+    chunk.running_digest = chain_step(record, chunk.running_digest)
     chunk.chain_bytes += len(record)
     chunk.user_digests.append((tag, r.time, r.sensor, sr.state))
-    chunk.running_user_xor ^= int.from_bytes(state_digest(tag, sr.state), "big")
+    chunk.running_user_xor = user_step(chunk.running_user_xor, tag, sr.state)
     if len(chunk.order) % checkpoint_every == 0:
         chunk.checkpoints.append(chunk.running_digest)
     return chunk
@@ -195,7 +212,6 @@ def close_chunk(
     checkpoints = list(chunk.checkpoints)
     if not checkpoints or checkpoints[-1] != chunk.running_digest:
         checkpoints.append(chunk.running_digest)
-    eoc_mask = xor_bytes(xor_bytes(prev_string, chunk.string), chunk.next_string)
     user_fold = chunk.running_user_xor.to_bytes(32, "big")
     return SealedChunk(
         index=chunk.index,
@@ -205,10 +221,10 @@ def close_chunk(
         checkpoints=tuple(checkpoints),
         checkpoint_every=checkpoint_every,
         string=chunk.string,
-        integrity_proof=ChunkProof(
-            chunk.string, signer.sign(xor_bytes(chunk.running_digest, eoc_mask))),
-        user_proof=ChunkProof(
-            chunk.string, signer.sign(xor_bytes(user_fold, eoc_mask))),
+        integrity_proof=ChunkProof(chunk.string, signer.sign(proof_payload(
+            chunk.running_digest, prev_string, chunk.string, chunk.next_string))),
+        user_proof=ChunkProof(chunk.string, signer.sign(proof_payload(
+            user_fold, prev_string, chunk.string, chunk.next_string))),
         ruleset_digest=chunk.ruleset_digest,
     )
 

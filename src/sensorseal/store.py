@@ -139,7 +139,7 @@ def serialize_sections(index: int, sections: dict[int, tuple[bytes, int]]) -> by
     return header + bytes(table) + bytes(body)
 
 
-def serialize_chunk(sc: SealedChunk) -> bytes:
+def serialize_chunk(sc: SealedChunk | ParsedChunk) -> bytes:
     active = b"".join(encode_reading(sr) for sr in sc.active)
     redacted = b"".join(
         encode_redacted(r.tag, r.sensor, r.state, r.time) for r in sc.redacted
@@ -206,16 +206,24 @@ class ParsedChunk:
     def n_readings(self) -> int:
         return len(self.order)
 
-    def merged(self) -> Iterator[tuple[int, bytes, int]]:
-        """Records in sealing order as (is_active, chain encoding, time)."""
+    def slots(self) -> Iterator[tuple[int, int]]:
+        """Records in sealing order as (is_active, index within its section)."""
         ai = ri = 0
         for bit in self.order:
             if bit:
-                yield 1, self.active_encs[ai], self.active[ai].reading.time
+                yield 1, ai
                 ai += 1
             else:
-                yield 0, self.redacted_encs[ri], self.redacted[ri].time
+                yield 0, ri
                 ri += 1
+
+    def merged(self) -> Iterator[tuple[int, bytes, int]]:
+        """Records in sealing order as (is_active, chain encoding, time)."""
+        for bit, i in self.slots():
+            if bit:
+                yield 1, self.active_encs[i], self.active[i].reading.time
+            else:
+                yield 0, self.redacted_encs[i], self.redacted[i].time
 
 
 def parse_chunk(blob: bytes) -> ParsedChunk:
@@ -387,19 +395,16 @@ def derive_user_records(parsed: ParsedChunk) -> tuple[UserRecord, ...]:
     from .events import presence_digest
 
     records = []
-    ai = ri = 0
-    for bit in parsed.order:
+    for bit, i in parsed.slots():
         if bit:
-            sr = parsed.active[ai]
+            sr = parsed.active[i]
             records.append(UserRecord(
                 presence_digest(sr.reading.device, sr.reading.time),
                 sr.reading.sensor, sr.state, sr.reading.time,
             ))
-            ai += 1
         else:
-            r = parsed.redacted[ri]
+            r = parsed.redacted[i]
             records.append(UserRecord(r.tag, r.sensor, r.state, r.time))
-            ri += 1
     return tuple(records)
 
 
@@ -469,7 +474,9 @@ class ChunkStore:
     def _save_manifest(self) -> None:
         if self._defer_manifest:
             return
-        _atomic_write(self.manifest_path, json.dumps(self._manifest, indent=1).encode())
+        # no indent: with one, the json module falls back to its pure-Python encoder
+        _atomic_write(self.manifest_path,
+                      json.dumps(self._manifest, separators=(",", ":")).encode())
 
     @contextmanager
     def bulk(self):
@@ -484,24 +491,27 @@ class ChunkStore:
     # --- chunk writes ---
 
     def put_sealed_chunk(self, sc: SealedChunk) -> dict:
-        blob = serialize_chunk(sc)
-        name = f"chunks/{sc.index:08d}.ssc"
+        return self.put_chunk(f"chunks/{sc.index:08d}.ssc", sc)
+
+    def put_chunk(self, name: str, chunk: SealedChunk | ParsedChunk) -> dict:
+        """Serialize a chunk into file `name` and record its manifest entry."""
+        blob = serialize_chunk(chunk)
         _atomic_write(self.root / name, blob)
-        times = [sr.reading.time for sr in sc.active] + [r.time for r in sc.redacted]
+        times = [sr.reading.time for sr in chunk.active] + [r.time for r in chunk.redacted]
         _, sections = read_sections(blob)
         entry = {
             "file": name,
-            "string": sc.string.hex(),
-            "n": sc.n_readings,
-            "n_active": len(sc.active),
-            "n_passive": len(sc.redacted),
+            "string": chunk.integrity_proof.string.hex(),
+            "n": chunk.n_readings,
+            "n_active": len(chunk.active),
+            "n_passive": len(chunk.redacted),
             "bytes": len(blob),
-            "ruleset_digest": sc.ruleset_digest.hex(),
+            "ruleset_digest": chunk.ruleset_digest.hex(),
             "first_t": min(times),
             "last_t": max(times),
             "sections": {str(sid): [len(data), count] for sid, (data, count) in sections.items()},
         }
-        self.manifest["chunks"][str(sc.index)] = entry
+        self.manifest["chunks"][str(chunk.index)] = entry
         self._save_manifest()
         return entry
 
@@ -555,14 +565,6 @@ class ChunkStore:
         path = self.root / "rules"
         path.mkdir(exist_ok=True)
         _atomic_write(path / f"{envelope.rules_digest.hex()}.env", encode_envelope(envelope))
-
-    def rule_envelopes(self) -> list[NoticeEnvelope]:
-        from .notices import decode_envelope
-
-        path = self.root / "rules"
-        if not path.is_dir():
-            return []
-        return [decode_envelope(p.read_bytes()) for p in sorted(path.glob("*.env"))]
 
     # --- bundles ---
 

@@ -24,11 +24,11 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .crypto import PublicKeys, sha256, verify, xor_bytes
-from .events import DeviceId, SensorId, SensorState, presence_digest, state_digest
+from .crypto import PublicKeys, verify
+from .events import DeviceId, SensorId, SensorState, presence_digest
 from .notices import NoticeMessage, verify_notice
 from .rules import EMPTY_RULESET_DIGEST
-from .sealing import CHAIN_SEED
+from .sealing import CHAIN_SEED, chain_step, proof_payload, user_step
 from .store import (
     AuditorEntry,
     Bundle,
@@ -122,7 +122,7 @@ def audit_chunk(
                            f"timestamp regression observed at record {i}",
                            last_verified + 1)
         prev_t = t
-        h = sha256(enc + h)
+        h = chain_step(enc, h)
         if cp < len(positions) and positions[cp] == i:
             if parsed.checkpoints[cp] != h:
                 first_bad = last_verified + 1
@@ -133,8 +133,8 @@ def audit_chunk(
             last_verified = i
             cp += 1
 
-    eoc_mask = xor_bytes(xor_bytes(prev_string, own_string), next_string)
-    if not verify(enclave_pub, xor_bytes(h, eoc_mask), parsed.integrity_proof.sig):
+    if not verify(enclave_pub, proof_payload(h, prev_string, own_string, next_string),
+                  parsed.integrity_proof.sig):
         return Verdict(Outcome.BAD_PROOF, x, "integrity proof does not verify under the sealer key")
     return Verdict(Outcome.INTACT, x, "ok")
 
@@ -157,7 +157,7 @@ def verify_user_chunk(
     fold = 0
     mine = []
     for rec in entry.records:
-        fold ^= int.from_bytes(state_digest(rec.tag, rec.state), "big")
+        fold = user_step(fold, rec.tag, rec.state)
         if presence_digest(device, rec.time) == rec.tag:
             mine.append(PresenceEntry(rec.time, rec.sensor, rec.state))
     report = PresenceReport(x, tuple(mine))
@@ -168,9 +168,8 @@ def verify_user_chunk(
     if entry.proof.string != own_string:
         return Verdict(Outcome.BAD_PROOF, x, "proof string differs from served chain string"), report
 
-    user_fold = fold.to_bytes(32, "big")
-    eoc_mask = xor_bytes(xor_bytes(prev_string, own_string), next_string)
-    if not verify(enclave_pub, xor_bytes(user_fold, eoc_mask), entry.proof.sig):
+    payload = proof_payload(fold.to_bytes(32, "big"), prev_string, own_string, next_string)
+    if not verify(enclave_pub, payload, entry.proof.sig):
         return Verdict(Outcome.TAMPERED, x, "user records do not match the user proof"), report
     return Verdict(Outcome.INTACT, x, "ok"), report
 
@@ -193,28 +192,14 @@ def audit_range(
     bundle: Bundle,
     enclave_pub: PublicKeys,
     notifier_pub: PublicKeys | None = None,
-    workers: int = 1,
 ) -> tuple[list[Verdict], dict]:
-    """Audit every chunk in a bundle; returns per-chunk verdicts + summary.
-
-    Per-chunk verification is inherently serial (the chain is), but
-    chunks are independent: `workers > 1` fans them out across a thread
-    pool, preserving verdict order.
-    """
+    """Audit every chunk in a bundle; returns per-chunk verdicts + summary."""
     expected = (
         expected_rule_digests(bundle.notices, notifier_pub) if notifier_pub is not None else None
     )
     started = time.perf_counter()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(
-                lambda entry: audit_chunk(entry, bundle.strings, enclave_pub, expected),
-                bundle.entries))
-    else:
-        verdicts = [audit_chunk(entry, bundle.strings, enclave_pub, expected)
-                    for entry in bundle.entries]
+    verdicts = [audit_chunk(entry, bundle.strings, enclave_pub, expected)
+                for entry in bundle.entries]
     return verdicts, _summary(verdicts, time.perf_counter() - started)
 
 

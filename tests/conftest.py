@@ -62,6 +62,15 @@ ALLOW_ALL = RuleSet.of(
 )
 
 
+def mixed_rules(actors: Actors) -> RuleSet:
+    """Retain everything except the first two devices' readings."""
+    return RuleSet.of([
+        DataCaptureRule("retain", RuleAction.OPT_IN, created_at=1),
+        DataCaptureRule("optout-two", RuleAction.OPT_OUT,
+                        device_filter=frozenset(actors.devices[:2]), created_at=2),
+    ])
+
+
 def sealed_run(
     tmp_path: Path,
     actors: Actors,

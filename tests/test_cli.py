@@ -5,7 +5,11 @@ import os
 
 import pytest
 
-from sensorseal.cli import main, parse_config, CliError
+from conftest import ALLOW_ALL, make_actors
+from sensorseal import ChunkStore, KeyPair, Role, Sealer, SensorReading, seal_to
+from sensorseal.cli import _seal_stream, main, parse_config, CliError
+from sensorseal.events import encode_wire_reading
+from sensorseal.notices import TransmissionReceipt, receipt_payload
 
 
 def run_cli(*argv) -> int:
@@ -185,3 +189,20 @@ def test_pipeline_reports_sealing_latency(workdir, capsys):
     assert float(report["seal_ms_p50"]) > 0
     # desk-scale chunks seal far inside the 310ms envelope
     assert float(report["seal_ms_p95"]) < 310.0
+
+
+def test_seal_report_counts_only_discarded_readings(tmp_path):
+    # a rejected control message raises an alert but discards no reading
+    actors = make_actors()
+    sealer = Sealer(actors.enclave, actors.notifier.public, actors.registry,
+                    ChunkStore(tmp_path / "store"))
+    sealer.install_ruleset(ALLOW_ALL)
+    rogue = KeyPair.generate(Role.NOTIFIER)
+    sealer.confirm_notice_receipt(TransmissionReceipt(
+        "n1", ALLOW_ALL.digest, rogue.sign(receipt_payload("n1", ALLOW_ALL.digest)), 1))
+    assert len(sealer.alerts) == 1
+    readings = [SensorReading(actors.devices[0], actors.sensors[0], 1_000 + i) for i in range(5)]
+    report = _seal_stream(sealer, [seal_to(actors.enclave.public, encode_wire_reading(r))
+                                   for r in readings])
+    assert report["readings"] == 5
+    assert report["discarded"] == 0

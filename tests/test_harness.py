@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_actors, sealed_run
+from conftest import make_actors, mixed_rules, sealed_run
 from sensorseal import KeyPair, Role, TamperAction, TamperKind, WorkloadSpec, apply_tamper
 from sensorseal.harness import (
     DEFAULT_START_MS,
@@ -17,6 +17,7 @@ from sensorseal.harness import (
     generate_readings,
     sensor_pool,
 )
+from sensorseal.store import parse_chunk
 
 
 def small_spec(**overrides) -> WorkloadSpec:
@@ -109,6 +110,24 @@ def test_tamper_targets_named_coordinates(tmp_path):
                           TamperAction(TamperKind.MODIFY_READING, chunk=3, record=2),
                           random.Random(0))
     assert report.chunk == 3 and report.record == 2
+
+
+def test_modify_reading_flips_exactly_one_bit(tmp_path):
+    actors = make_actors()
+    store, _, _ = sealed_run(tmp_path, actors, n_readings=40, ruleset=mixed_rules(actors))
+    kinds = set()
+    for seed in range(12):
+        chunk = store.indices()[seed % len(store.indices())]
+        before = store.chunk_raw(chunk)
+        report = apply_tamper(store.root, TamperAction(TamperKind.MODIFY_READING, chunk=chunk),
+                              random.Random(seed))
+        after = store.chunk_raw(chunk)
+        assert len(after) == len(before)
+        diff = int.from_bytes(before, "big") ^ int.from_bytes(after, "big")
+        assert bin(diff).count("1") == 1
+        kinds.add(parse_chunk(before).order[report.record - 1])
+        (store.root / store.manifest["chunks"][str(chunk)]["file"]).write_bytes(before)
+    assert kinds == {0, 1}  # both active and redacted records were hit
 
 
 def test_tamper_out_of_range_rejected(tmp_path):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from conftest import ALLOW_ALL, PSK, sealed_run
+from conftest import ALLOW_ALL, PSK, mixed_rules, sealed_run
 from sensorseal import read_bundle_file, write_bundle_file
-from sensorseal.events import presence_digest
+from sensorseal.events import SensorState, presence_digest
 from sensorseal.store import (
     AuthError,
     AuditorEntry,
@@ -48,6 +48,14 @@ def test_chunk_round_trip_bit_exact(run, actors):
             ruleset_digest=parsed.ruleset_digest,
         ))
         assert rebuilt == blob
+
+
+def test_parse_then_serialize_is_identity(tmp_path, actors):
+    store, _, sealed = sealed_run(tmp_path, actors, n_readings=60, ruleset=mixed_rules(actors))
+    assert {sr.state for sr in sealed} == {SensorState.ACTIVE, SensorState.PASSIVE}
+    for i in store.indices():
+        blob = store.chunk_raw(i)
+        assert serialize_chunk(parse_chunk(blob)) == blob
 
 
 def test_manifest_counts_match_sections(run):

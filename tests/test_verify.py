@@ -63,16 +63,6 @@ def test_seal_then_verify_intact(tmp_path, n_readings):
     assert all(v.ok for v, _ in results)
 
 
-def test_parallel_audit_matches_serial(tmp_path):
-    actors = make_actors()
-    store, _, _ = sealed_run(tmp_path, actors, n_readings=60, window_ms=5_000)
-    last = store.indices()[-1]
-    serial, _ = audit_range(store.get_auditor_bundle(1, last), actors.enclave.public)
-    parallel, _ = audit_range(store.get_auditor_bundle(1, last), actors.enclave.public,
-                              workers=4)
-    assert parallel == serial
-
-
 def test_random_interleavings_verify(tmp_path):
     rng = random.Random(42)
     for trial in range(10):
