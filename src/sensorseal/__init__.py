@@ -15,6 +15,7 @@ from .crypto import (
     RandomSource,
     Role,
     SeededRandomSource,
+    Session,
     fresh_random_string,
     seal_to,
     sha256,
@@ -44,7 +45,7 @@ __all__ = [
     "DataCaptureRule", "DeviceId", "KeyPair", "NoticeMessage",
     "NotificationModel", "Notifier", "Outcome", "PresenceReport",
     "PresharedKeyAuth", "PublicKeys", "RandomSource", "Role", "RuleAction",
-    "RuleSet", "SealedChunk", "Sealer", "SeededRandomSource", "SensorId",
+    "RuleSet", "SealedChunk", "Sealer", "SeededRandomSource", "SensorId", "Session",
     "SensorReading", "SensorState", "StatefulReading", "TamperAction",
     "TamperKind", "UserRegistration", "Verdict", "WorkloadSpec",
     "apply_tamper", "audit_chunk", "audit_range", "close_chunk",

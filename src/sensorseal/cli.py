@@ -10,8 +10,10 @@ process, and `bench` reproduces the verification-scaling tables.
 
 Configuration is line-oriented key=value (see --config); the store root
 may also come from the SENSORSEAL_STORE environment variable. With a
-fixed --seed the pipeline's store output is bit-reproducible, and the
-run report prints a payload digest to check that by.
+fixed --seed the pipeline's store output (chunk files, manifest, notices
+and rule envelopes, and so every bundle exported from it) is
+bit-reproducible, and the run report prints a payload digest of the
+chunk files to check that by.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Everything the sealer and the verifiers need: SHA-256 digests, 32-byte
 random strings, bytewise XOR, Ed25519 signatures, and an authenticated
 public-key envelope (X25519 + HKDF + ChaCha20-Poly1305) for the
-controller-to-sealer transport. Digests and random strings are raw
-32-byte values with no encoding.
+controller-to-sealer transport. The envelope is a session: one X25519
+handshake, then one AEAD message per reading under a counter nonce.
+Digests and random strings are raw 32-byte values with no encoding.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from cryptography.hazmat.primitives import hashes, serialization
 DIGEST_LEN = 32
 RANDOM_LEN = 32
 SIGNATURE_LEN = 64
+ENVELOPE_OVERHEAD = 32 + 12 + 16  # ephemeral public key, nonce, AEAD tag
 
 _SEAL_INFO = b"sensorseal envelope v1"
 
@@ -171,8 +173,19 @@ class KeyPair:
     def sign(self, payload: bytes) -> bytes:
         return self._sign_key.sign(payload)
 
+    def accept(self, ephemeral_pub: bytes) -> "Session":
+        """The recipient's handshake: X25519 with a sender's ephemeral key, then HKDF."""
+        try:
+            shared = self._enc_key.exchange(X25519PublicKey.from_public_bytes(ephemeral_pub))
+        except ValueError as e:
+            raise CryptoError("envelope authentication failed") from e
+        return Session(ephemeral_pub, _envelope_key(shared, ephemeral_pub, self.public.encrypt_key))
+
     def open_sealed(self, ciphertext: bytes) -> bytes:
-        return open_sealed(self._enc_key, ciphertext)
+        """Open any one message from `seal_to` or a `Session`; raises CryptoError if tampered."""
+        if len(ciphertext) < ENVELOPE_OVERHEAD:
+            raise CryptoError("envelope too short")
+        return self.accept(ciphertext[:32]).open(ciphertext)
 
 
 def verify(public: PublicKeys, payload: bytes, signature: bytes) -> bool:
@@ -195,35 +208,93 @@ def _envelope_key(shared: bytes, ephemeral_pub: bytes, recipient_pub: bytes) -> 
     ).derive(shared)
 
 
-def seal_to(recipient: PublicKeys, plaintext: bytes) -> bytes:
+class Session:
+    """One transport session: an ephemeral X25519 key and the AEAD key it
+    shares with the recipient.
+
+    Every message is ephemeral_pub(32) || nonce(12) || AEAD ciphertext,
+    with the ephemeral public key as associated data, so each one also
+    opens on its own with `KeyPair.open_sealed`. The sender's nonce is
+    its message counter, `seq.to_bytes(12, "big")` from 0, so no nonce
+    repeats under one key and the counter itself is authenticated.
+    """
+
+    __slots__ = ("ephemeral_pub", "_seq", "_aead")
+
+    def __init__(self, ephemeral_pub: bytes, key: bytes):
+        self.ephemeral_pub = ephemeral_pub
+        self._seq = 0
+        self._aead = ChaCha20Poly1305(key)
+
+    @classmethod
+    def start(cls, recipient: PublicKeys, rand: RandomSource | None = None) -> "Session":
+        """The sender's side: one ephemeral key from `rand` (OS entropy by default)."""
+        eph = X25519PrivateKey.from_private_bytes(fresh_random_string(rand))
+        eph_pub = eph.public_key().public_bytes(
+            serialization.Encoding.Raw, serialization.PublicFormat.Raw
+        )
+        shared = eph.exchange(X25519PublicKey.from_public_bytes(recipient.encrypt_key))
+        return cls(eph_pub, _envelope_key(shared, eph_pub, recipient.encrypt_key))
+
+    def seal(self, plaintext: bytes) -> bytes:
+        """Encrypt the session's next message under the counter nonce."""
+        nonce = self._seq.to_bytes(12, "big")
+        self._seq += 1
+        return self.ephemeral_pub + nonce + self._aead.encrypt(nonce, plaintext, self.ephemeral_pub)
+
+    def open(self, message: bytes) -> bytes:
+        """Decrypt one message of this session; raises CryptoError if tampered."""
+        try:
+            return self._aead.decrypt(message[32:44], message[44:], self.ephemeral_pub)
+        except InvalidTag as e:
+            raise CryptoError("envelope authentication failed") from e
+
+
+def seal_to(recipient: PublicKeys, plaintext: bytes, rand: RandomSource | None = None) -> bytes:
     """Encrypt `plaintext` so only the recipient's private key can open it.
 
-    Randomized (fresh ephemeral X25519 key per call) and authenticated:
-    any bit flip in the ciphertext fails authentication on open.
-    Layout: ephemeral_pub(32) || nonce(12) || AEAD ciphertext.
+    A one-message session: randomized by its fresh ephemeral key (drawn
+    from `rand`, OS entropy by default) and authenticated, so any bit
+    flip fails authentication on open.
     """
-    eph = X25519PrivateKey.generate()
-    eph_pub = eph.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    shared = eph.exchange(X25519PublicKey.from_public_bytes(recipient.encrypt_key))
-    key = _envelope_key(shared, eph_pub, recipient.encrypt_key)
-    nonce = os.urandom(12)
-    ct = ChaCha20Poly1305(key).encrypt(nonce, plaintext, eph_pub)
-    return eph_pub + nonce + ct
+    return Session.start(recipient, rand).seal(plaintext)
 
 
-def open_sealed(private: X25519PrivateKey, ciphertext: bytes) -> bytes:
-    """Open an envelope from `seal_to`; raises CryptoError if tampered."""
-    if len(ciphertext) < 32 + 12 + 16:
-        raise CryptoError("envelope too short")
-    eph_pub, nonce, ct = ciphertext[:32], ciphertext[32:44], ciphertext[44:]
-    recipient_pub = private.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    try:
-        shared = private.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        key = _envelope_key(shared, eph_pub, recipient_pub)
-        return ChaCha20Poly1305(key).decrypt(nonce, ct, eph_pub)
-    except (InvalidTag, ValueError) as e:
-        raise CryptoError("envelope authentication failed") from e
+class SessionReceiver:
+    """The recipient's side of the transport: the one live session and
+    the next counter it expects.
+
+    A message of the live session is rejected if its counter is below
+    the next expected one (a replay or a reorder), and otherwise only
+    decrypted. Any other message pays the full handshake, and once it
+    authenticates its session becomes the live one. A rejected message
+    leaves the live session as it was.
+    """
+
+    __slots__ = ("_keys", "_live", "_next")
+
+    def __init__(self, keys: KeyPair):
+        self._keys = keys
+        self._live: Session | None = None
+        self._next = 0
+
+    def open(self, message: bytes) -> tuple[bytes, range]:
+        """Open one message; return its plaintext and the counters it skipped
+        in the live session (an empty range when none)."""
+        if len(message) < ENVELOPE_OVERHEAD:
+            raise CryptoError("envelope too short")
+        seq = int.from_bytes(message[32:44], "big")
+        live = self._live
+        if live is not None and message[:32] == live.ephemeral_pub:
+            if seq < self._next:
+                raise CryptoError(
+                    f"session counter {seq} below the next expected {self._next} (replay or reorder)")
+            plaintext = live.open(message)
+            skipped = range(self._next, seq)
+        else:
+            live = self._keys.accept(message[:32])
+            plaintext = live.open(message)
+            self._live = live
+            skipped = range(0)
+        self._next = seq + 1
+        return plaintext, skipped

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crypto import KeyPair, PublicKeys, Role, seal_to, sha256
+from .crypto import KeyPair, PublicKeys, Role, Session, sha256
 from .events import (
     DeviceId,
     SensorId,
@@ -131,9 +131,11 @@ def generate_readings(spec: WorkloadSpec):
 
 
 def generate(spec: WorkloadSpec, sealer_pub: PublicKeys):
-    """The controller stand-in: the same readings, sealed for transport."""
+    """The controller stand-in: the same readings, sealed for transport
+    under one session (one handshake, then a counter nonce per reading)."""
+    session = Session.start(sealer_pub)
     for reading in generate_readings(spec):
-        yield seal_to(sealer_pub, encode_wire_reading(reading))
+        yield session.seal(encode_wire_reading(reading))
 
 
 # --- tamper injection --------------------------------------------------------

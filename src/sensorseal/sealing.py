@@ -30,6 +30,7 @@ from .crypto import (
     KeyPair,
     PublicKeys,
     RandomSource,
+    SessionReceiver,
     seal_to,
     sha256,
     verify,
@@ -265,6 +266,7 @@ class Sealer:
         self._policy = policy
         self._model = model
         self._rand = rand or RandomSource()
+        self._transport = SessionReceiver(keys)
         self.seed_string = self._rand.random32()
         self._prev_string = self.seed_string
         self._open = OpenChunk(1, self._rand.random32(), self._rand.random32())
@@ -308,9 +310,9 @@ class Sealer:
         envelope = NoticeEnvelope(
             rules_digest=rs.digest,
             model=self._model,
-            ct_for_notifier=seal_to(self._notifier_pub, text),
+            ct_for_notifier=seal_to(self._notifier_pub, text, self._rand),
             per_device=tuple(
-                (dev, seal_to(pub, text)) for dev, pub in sorted(
+                (dev, seal_to(pub, text, self._rand)) for dev, pub in sorted(
                     self._registry.items(), key=lambda kv: kv[0].id
                 )
             ) if self._model is NotificationModel.NAM else (),
@@ -358,15 +360,25 @@ class Sealer:
     def ingest(self, ciphertext: bytes) -> StatefulReading | None:
         """Decrypt, state-assign, and seal one transported reading.
 
-        Returns None (with an alert) when the envelope fails
-        authentication: a corrupted or rogue controller stream must not
-        reach the chains.
+        Returns None (with an alert) when the message fails
+        authentication, when its counter repeats or precedes one already
+        opened in its session, or when its reading is older than the
+        stream: a corrupted, replayed or rogue controller stream must not
+        reach the chains. A message that skips counters is still sealed,
+        with an alert naming the missing ones.
         """
         try:
-            plaintext = self._keys.open_sealed(ciphertext)
+            plaintext, skipped = self._transport.open(ciphertext)
             reading = decode_wire_reading(plaintext)
         except (CryptoError, ValueError) as e:
-            self.alerts.append(SealerAlert(f"discarded undecryptable reading: {e}"))
+            self.alerts.append(SealerAlert(f"discarded reading: {e}"))
+            return None
+        if skipped:
+            self.alerts.append(SealerAlert(
+                f"transport gap: session messages {skipped.start}..{skipped.stop - 1} missing"))
+        if reading.time < self._last_time:
+            self.alerts.append(SealerAlert(
+                f"discarded stale reading: time {reading.time} precedes the stream's {self._last_time}"))
             return None
         return self.submit_reading(reading)
 

@@ -206,3 +206,37 @@ def test_seal_report_counts_only_discarded_readings(tmp_path):
                                    for r in readings])
     assert report["readings"] == 5
     assert report["discarded"] == 0
+
+
+def test_seal_report_discards_stale_reading(tmp_path):
+    actors = make_actors()
+    sealer = Sealer(actors.enclave, actors.notifier.public, actors.registry,
+                    ChunkStore(tmp_path / "store"))
+    readings = [SensorReading(actors.devices[0], actors.sensors[0], t)
+                for t in (1_000, 2_000, 1_500, 3_000)]
+    report = _seal_stream(sealer, [seal_to(actors.enclave.public, encode_wire_reading(r))
+                                   for r in readings])
+    assert report["readings"] == 3
+    assert report["discarded"] == 1
+
+
+@pytest.mark.parametrize("model", ["nom", "nam"])
+def test_seeded_pipeline_writes_identical_bytes(workdir, capsys, model):
+    args = ["pipeline", "--seed", "21", "--days", "0.02", "--rate-scale", "0.05",
+            "--devices", "6", "--sensors", "10", "--buildings", "2",
+            "--chunk-minutes", "5", "--model", model, "--psk", "hunter2"]
+
+    def outputs(run_id: str) -> dict:
+        store = workdir / f"s{run_id}"
+        assert run_cli(*args, "--keys", f"k{run_id}", "--store", store) == 0
+        last = ChunkStore(store).indices()[-1]
+        for kind in ("auditor", "user"):
+            assert run_cli("export-bundle", "--store", store, "--kind", kind, "--range",
+                           f"1..{last}", "--psk", "hunter2", "--out", f"{run_id}.{kind}") == 0
+        files = {str(p.relative_to(store)): p.read_bytes() for p in store.rglob("*") if p.is_file()}
+        assert "notices.bin" in files and any(name.endswith(".env") for name in files)
+        for kind in ("auditor", "user"):
+            files[kind] = (workdir / f"{run_id}.{kind}").read_bytes()
+        return files
+
+    assert outputs("a") == outputs("b")

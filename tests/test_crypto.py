@@ -137,6 +137,13 @@ def test_envelope_randomized():
     assert seal_to(pair.public, b"m") != seal_to(pair.public, b"m")
 
 
+def test_envelope_seeded_by_the_callers_source():
+    pair = KeyPair.generate(Role.ENCLAVE)
+    a, b = SeededRandomSource(b"seed"), SeededRandomSource(b"seed")
+    assert seal_to(pair.public, b"m", a) == seal_to(pair.public, b"m", b)
+    assert seal_to(pair.public, b"m", a) != seal_to(pair.public, b"m", SeededRandomSource(b"seed"))
+
+
 def test_envelope_wrong_recipient():
     a, b = KeyPair.generate(Role.ENCLAVE), KeyPair.generate(Role.ENCLAVE)
     with pytest.raises(CryptoError):

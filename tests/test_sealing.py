@@ -223,6 +223,29 @@ def test_ingest_decrypts_and_discards_garbage(tmp_path, actors):
     assert len(sealer.alerts) == 1
 
 
+def test_ingest_discards_stale_reading(tmp_path, actors):
+    # each message its own session, so only the timestamp check can turn it away
+    sealer = Sealer(actors.enclave, actors.notifier.public, actors.registry,
+                    ChunkStore(tmp_path / "s"))
+    newer, older = (seal_to(actors.enclave.public, encode_wire_reading(
+        SensorReading(actors.devices[0], actors.sensors[0], t))) for t in (9_000, 8_000))
+    assert sealer.ingest(newer) is not None
+    assert sealer.ingest(older) is None
+    assert len(sealer.alerts) == 1 and "stale" in sealer.alerts[0].reason
+
+
+def test_ingest_discards_exact_replay(tmp_path, actors):
+    sealer = Sealer(actors.enclave, actors.notifier.public, actors.registry,
+                    ChunkStore(tmp_path / "s"))
+    # a one-message session: once opened it is the live one, so its counter
+    # turns the same bytes away although the timestamp would pass
+    ct = seal_to(actors.enclave.public, encode_wire_reading(
+        SensorReading(actors.devices[0], actors.sensors[0], 9_000)))
+    assert sealer.ingest(ct) is not None
+    assert sealer.ingest(ct) is None
+    assert len(sealer.alerts) == 1 and "replay" in sealer.alerts[0].reason
+
+
 def test_no_rules_everything_passive(tmp_path, actors):
     store, _, sealed = sealed_run(tmp_path, actors, ruleset=None, n_readings=10)
     assert all(s.state is SensorState.PASSIVE for s in sealed)
