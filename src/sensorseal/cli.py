@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 
 from .bench import auditor_scaling, format_table, user_streaming_seconds, write_csv
+from .codec import FormatError
 from .crypto import KeyPair, PublicKeys, Role, SeededRandomSource, sha256
 from .events import DeviceId, SensorState
 from .harness import TamperAction, TamperKind, WorkloadSpec, apply_tamper, building_sensors, device_pool, generate
@@ -472,10 +473,17 @@ def _print_verdicts(verdicts, summary) -> None:
           f"bad_proof={summary['bad_proof']} seconds={summary['seconds']:.3f}")
 
 
+def _read_bundle(path: str, kind: str):
+    bundle = read_bundle_file(Path(path))
+    if bundle.kind != kind:
+        raise CliError(f"{path} holds a {bundle.kind} bundle, not a {kind} bundle")
+    return bundle
+
+
 def cmd_verify_auditor(args, config) -> int:
     enclave_pub, notifier_pub = load_public(_keys_root(args, config))
     if args.bundle:
-        bundle = read_bundle_file(Path(args.bundle))
+        bundle = _read_bundle(args.bundle, "auditor")
     else:
         store = _open_store(_store_root(args, config))
         first, last = _parse_range(args.range) if args.range else _whole_log(store)
@@ -489,7 +497,7 @@ def cmd_verify_user(args, config) -> int:
     enclave_pub, _ = load_public(_keys_root(args, config))
     device = DeviceId(bytes.fromhex(args.device))
     if args.bundle:
-        bundle = read_bundle_file(Path(args.bundle))
+        bundle = _read_bundle(args.bundle, "user")
     else:
         psk = _setting(args, config, "psk", None)
         store = _open_store(_store_root(args, config))
@@ -716,11 +724,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Exit 0 when every verdict is Intact, 1 when one is not, and 2 on
+    unreadable input or a usage error."""
     args = build_parser().parse_args(argv)
-    config = parse_config(args.config) if args.config else {}
     try:
+        config = parse_config(args.config) if args.config else {}
         return args.func(args, config)
-    except (CliError, StoreError, FileNotFoundError) as e:
+    except (CliError, StoreError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

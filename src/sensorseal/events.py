@@ -12,14 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from struct import Struct
 
+from .codec import Cursor, FormatError, listed
 from .crypto import sha256
 
 MAX_ID_LEN = 64
 MAX_TIMESTAMP = 2**64 - 1
 
+_STATE_TIME = Struct(">BQ")
+_TIME = Struct(">Q")
 
-class EncodingError(ValueError):
+
+class EncodingError(FormatError):
     """Raised when a value cannot be canonically encoded or decoded."""
 
 
@@ -41,6 +46,9 @@ class SensorState(IntEnum):
     @property
     def byte(self) -> bytes:
         return bytes([self.value])
+
+
+_STATES = {s.value: s for s in SensorState}
 
 
 @dataclass(frozen=True)
@@ -89,33 +97,32 @@ class StatefulReading:
     state: SensorState
 
 
+@dataclass(frozen=True)
+class RedactedRecord:
+    """What remains of a passive reading: pseudonymous tag plus context.
+
+    Users receive every reading of a chunk in this form.
+    """
+
+    tag: bytes
+    sensor: SensorId
+    state: SensorState
+    time: int
+
+
 def encode_reading(sr: StatefulReading) -> bytes:
     """Canonical encoding: LP(device) || LP(sensor) || state || t8."""
     r = sr.reading
     return lp(r.device.id) + lp(r.sensor.id) + sr.state.byte + encode_time(r.time)
 
 
-def decode_reading(buf: bytes, offset: int = 0) -> tuple[StatefulReading, int]:
-    """Inverse of `encode_reading`; returns the reading and the next offset."""
-    try:
-        dlen = int.from_bytes(buf[offset:offset + 2], "big")
-        if dlen == 0 or offset + 2 + dlen > len(buf):
-            raise EncodingError("bad device length")
-        device = buf[offset + 2:offset + 2 + dlen]
-        pos = offset + 2 + dlen
-        slen = int.from_bytes(buf[pos:pos + 2], "big")
-        if slen == 0 or pos + 2 + slen + 9 > len(buf):
-            raise EncodingError("bad sensor length")
-        sensor = buf[pos + 2:pos + 2 + slen]
-        pos += 2 + slen
-        state_byte = buf[pos]
-        if state_byte not in (0, 1):
-            raise EncodingError(f"bad state byte {state_byte:#x}")
-        t = int.from_bytes(buf[pos + 1:pos + 9], "big")
-        reading = SensorReading(DeviceId(device), SensorId(sensor), t)
-        return StatefulReading(reading, SensorState(state_byte)), pos + 9
-    except (IndexError, EncodingError) as e:
-        raise EncodingError(f"malformed reading at offset {offset}: {e}") from e
+def decode_reading(c: Cursor) -> StatefulReading:
+    """Inverse of `encode_reading`: the reading at the cursor."""
+    device = c.lp()
+    sensor = c.lp()
+    state, t = c.unpack(_STATE_TIME)
+    reading = SensorReading(DeviceId(device), SensorId(sensor), t)
+    return StatefulReading(reading, listed(_STATES, state, "state"))
 
 
 def encode_wire_reading(r: SensorReading) -> bytes:
@@ -124,22 +131,13 @@ def encode_wire_reading(r: SensorReading) -> bytes:
 
 
 def decode_wire_reading(buf: bytes) -> SensorReading:
-    try:
-        dlen = int.from_bytes(buf[0:2], "big")
-        device = buf[2:2 + dlen]
-        pos = 2 + dlen
-        slen = int.from_bytes(buf[pos:pos + 2], "big")
-        sensor = buf[pos + 2:pos + 2 + slen]
-        pos += 2 + slen
-        t = int.from_bytes(buf[pos:pos + 8], "big")
-        pos += 8
-        plen = int.from_bytes(buf[pos:pos + 2], "big")
-        params = buf[pos + 2:pos + 2 + plen]
-        if pos + 2 + plen != len(buf) or len(device) != dlen or len(sensor) != slen:
-            raise EncodingError("length mismatch")
-        return SensorReading(DeviceId(device), SensorId(sensor), t, params)
-    except (IndexError, EncodingError) as e:
-        raise EncodingError(f"malformed wire reading: {e}") from e
+    c = Cursor(buf)
+    device = c.lp()
+    sensor = c.lp()
+    (t,) = c.unpack(_TIME)
+    params = c.lp()
+    c.done("wire reading")
+    return SensorReading(DeviceId(device), SensorId(sensor), t, params)
 
 
 def presence_digest(device: DeviceId, t: int) -> bytes:
@@ -170,22 +168,9 @@ def encode_redacted(presence_tag: bytes, sensor: SensorId, state: SensorState, t
     return presence_tag + lp(sensor.id) + state.byte + encode_time(t)
 
 
-def decode_redacted(buf: bytes, offset: int = 0) -> tuple[tuple[bytes, SensorId, SensorState, int], int]:
-    """Inverse of `encode_redacted`; returns (tag, sensor, state, t) and next offset."""
-    try:
-        if offset + 32 + 2 > len(buf):
-            raise EncodingError("short redacted record")
-        tag = buf[offset:offset + 32]
-        pos = offset + 32
-        slen = int.from_bytes(buf[pos:pos + 2], "big")
-        if slen == 0 or pos + 2 + slen + 9 > len(buf):
-            raise EncodingError("bad sensor length")
-        sensor = buf[pos + 2:pos + 2 + slen]
-        pos += 2 + slen
-        state_byte = buf[pos]
-        if state_byte not in (0, 1):
-            raise EncodingError(f"bad state byte {state_byte:#x}")
-        t = int.from_bytes(buf[pos + 1:pos + 9], "big")
-        return (tag, SensorId(sensor), SensorState(state_byte), t), pos + 9
-    except (IndexError, EncodingError) as e:
-        raise EncodingError(f"malformed redacted record at offset {offset}: {e}") from e
+def decode_redacted(c: Cursor) -> RedactedRecord:
+    """Inverse of `encode_redacted`: the record at the cursor."""
+    tag = c.take(32)
+    sensor = c.lp()
+    state, t = c.unpack(_STATE_TIME)
+    return RedactedRecord(tag, SensorId(sensor), listed(_STATES, state, "state"), t)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from struct import Struct
 
+from .codec import Cursor, FormatError, listed
 from .crypto import KeyPair, PublicKeys, sha256, verify
 from .events import DeviceId, lp, encode_time
 from .rules import RuleSet, parse_rules
@@ -28,7 +30,7 @@ class NotificationModel(Enum):
 
 
 class NoticeError(Exception):
-    """Raised when a notice envelope or record cannot be accepted."""
+    """Raised when the notifier refuses a rule envelope."""
 
 
 @dataclass(frozen=True)
@@ -192,6 +194,20 @@ def verify_ack(ack: Acknowledgment, device_pub: PublicKeys) -> bool:
 # users). Delivery is transport; the store keeps only what verification
 # needs (digest, ciphertext for the notifier, signature).
 
+_MODELS = {0: NotificationModel.NOM, 1: NotificationModel.NAM}
+_U32 = Struct(">I")
+_TIME = Struct(">Q")
+_MODEL_TIME = Struct(">BQ")
+
+
+def _notice_id(c: Cursor) -> str:
+    raw = c.lp()
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"notice id is not UTF-8: {e.reason}") from None
+
+
 def encode_notice(n: NoticeMessage) -> bytes:
     return b"".join([
         lp(n.notice_id.encode()),
@@ -204,24 +220,15 @@ def encode_notice(n: NoticeMessage) -> bytes:
 
 
 def decode_notice(buf: bytes) -> NoticeMessage:
-    try:
-        nlen = int.from_bytes(buf[0:2], "big")
-        notice_id = buf[2:2 + nlen].decode()
-        pos = 2 + nlen
-        model = NotificationModel.NAM if buf[pos] == 1 else NotificationModel.NOM
-        issued_at = int.from_bytes(buf[pos + 1:pos + 9], "big")
-        digest = buf[pos + 9:pos + 41]
-        pos += 41
-        ctlen = int.from_bytes(buf[pos:pos + 4], "big")
-        ct = buf[pos + 4:pos + 4 + ctlen]
-        pos += 4 + ctlen
-        slen = int.from_bytes(buf[pos:pos + 2], "big")
-        sig = buf[pos + 2:pos + 2 + slen]
-        if pos + 2 + slen != len(buf) or len(sig) != slen or len(digest) != 32:
-            raise NoticeError("length mismatch")
-        return NoticeMessage(notice_id, model, digest, ct, (), sig, issued_at)
-    except (IndexError, UnicodeDecodeError, NoticeError) as e:
-        raise NoticeError(f"malformed notice record: {e}") from e
+    c = Cursor(buf)
+    notice_id = _notice_id(c)
+    model, issued_at = c.unpack(_MODEL_TIME)
+    model = listed(_MODELS, model, "notification model")
+    digest = c.take(32)
+    ct = c.take(c.unpack(_U32)[0])
+    sig = c.lp()
+    c.done("notice record")
+    return NoticeMessage(notice_id, model, digest, ct, (), sig, issued_at)
 
 
 def encode_receipt(r: TransmissionReceipt) -> bytes:
@@ -229,20 +236,13 @@ def encode_receipt(r: TransmissionReceipt) -> bytes:
 
 
 def decode_receipt(buf: bytes) -> TransmissionReceipt:
-    try:
-        nlen = int.from_bytes(buf[0:2], "big")
-        notice_id = buf[2:2 + nlen].decode()
-        pos = 2 + nlen
-        digest = buf[pos:pos + 32]
-        at = int.from_bytes(buf[pos + 32:pos + 40], "big")
-        pos += 40
-        slen = int.from_bytes(buf[pos:pos + 2], "big")
-        sig = buf[pos + 2:pos + 2 + slen]
-        if pos + 2 + slen != len(buf) or len(digest) != 32 or len(sig) != slen:
-            raise NoticeError("length mismatch")
-        return TransmissionReceipt(notice_id, digest, sig, at)
-    except (IndexError, UnicodeDecodeError, NoticeError) as e:
-        raise NoticeError(f"malformed receipt record: {e}") from e
+    c = Cursor(buf)
+    notice_id = _notice_id(c)
+    digest = c.take(32)
+    (at,) = c.unpack(_TIME)
+    sig = c.lp()
+    c.done("receipt record")
+    return TransmissionReceipt(notice_id, digest, sig, at)
 
 
 def encode_envelope(e: NoticeEnvelope) -> bytes:
@@ -254,16 +254,12 @@ def encode_envelope(e: NoticeEnvelope) -> bytes:
 
 
 def decode_envelope(buf: bytes) -> NoticeEnvelope:
-    try:
-        digest = buf[0:32]
-        model = NotificationModel.NAM if buf[32] == 1 else NotificationModel.NOM
-        ctlen = int.from_bytes(buf[33:37], "big")
-        ct = buf[37:37 + ctlen]
-        if 37 + ctlen != len(buf) or len(digest) != 32 or len(ct) != ctlen:
-            raise NoticeError("length mismatch")
-        return NoticeEnvelope(digest, model, ct, ())
-    except (IndexError, NoticeError) as e:
-        raise NoticeError(f"malformed envelope record: {e}") from e
+    c = Cursor(buf)
+    digest = c.take(32)
+    model = listed(_MODELS, c.take(1)[0], "notification model")
+    ct = c.take(c.unpack(_U32)[0])
+    c.done("envelope record")
+    return NoticeEnvelope(digest, model, ct, ())
 
 
 def encode_ack(a: Acknowledgment) -> bytes:
@@ -271,19 +267,10 @@ def encode_ack(a: Acknowledgment) -> bytes:
 
 
 def decode_ack(buf: bytes) -> Acknowledgment:
-    try:
-        nlen = int.from_bytes(buf[0:2], "big")
-        notice_id = buf[2:2 + nlen].decode()
-        pos = 2 + nlen
-        dlen = int.from_bytes(buf[pos:pos + 2], "big")
-        device = DeviceId(buf[pos + 2:pos + 2 + dlen])
-        pos += 2 + dlen
-        at = int.from_bytes(buf[pos:pos + 8], "big")
-        pos += 8
-        slen = int.from_bytes(buf[pos:pos + 2], "big")
-        sig = buf[pos + 2:pos + 2 + slen]
-        if pos + 2 + slen != len(buf) or len(sig) != slen:
-            raise NoticeError("length mismatch")
-        return Acknowledgment(notice_id, device, sig, at)
-    except (IndexError, UnicodeDecodeError, NoticeError) as e:
-        raise NoticeError(f"malformed ack record: {e}") from e
+    c = Cursor(buf)
+    notice_id = _notice_id(c)
+    device = DeviceId(c.lp())
+    (at,) = c.unpack(_TIME)
+    sig = c.lp()
+    c.done("ack record")
+    return Acknowledgment(notice_id, device, sig, at)

@@ -38,7 +38,7 @@ from .crypto import (
 )
 from .events import (
     DeviceId,
-    SensorId,
+    RedactedRecord,
     SensorReading,
     SensorState,
     StatefulReading,
@@ -91,16 +91,6 @@ class ChunkProof:
 
 
 @dataclass(frozen=True)
-class RedactedRecord:
-    """What remains of a passive reading: pseudonymous tag plus context."""
-
-    tag: bytes
-    sensor: SensorId
-    state: SensorState
-    time: int
-
-
-@dataclass(frozen=True)
 class SealedChunk:
     index: int
     active: tuple[StatefulReading, ...]
@@ -108,7 +98,6 @@ class SealedChunk:
     order: tuple[int, ...]            # 1 = active, 0 = redacted, in sealing order
     checkpoints: tuple[bytes, ...]    # running chain digest every K records + final
     checkpoint_every: int
-    string: bytes
     integrity_proof: ChunkProof
     user_proof: ChunkProof
     ruleset_digest: bytes
@@ -124,7 +113,7 @@ class OpenChunk:
     __slots__ = (
         "index", "string", "next_string", "deadline", "active",
         "redacted", "order", "checkpoints", "running_digest",
-        "running_user_xor", "user_digests", "chain_bytes", "ruleset_digest",
+        "running_user_xor", "chain_bytes", "ruleset_digest",
         "effective_rules", "effective_acks", "closed",
     )
 
@@ -139,15 +128,11 @@ class OpenChunk:
         self.checkpoints: list[bytes] = []
         self.running_digest = CHAIN_SEED
         self.running_user_xor = 0
-        self.user_digests: list[tuple[bytes, int, SensorId, SensorState]] = []
         self.chain_bytes = 0
         self.ruleset_digest = EMPTY_RULESET_DIGEST
         self.effective_rules: RuleSet | None = None
         self.effective_acks: frozenset[DeviceId] = frozenset()
         self.closed = False
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 def chain_step(record: bytes, digest: bytes) -> bytes:
@@ -191,7 +176,6 @@ def seal_append(chunk: OpenChunk, sr: StatefulReading, checkpoint_every: int = D
         chunk.order.append(0)
     chunk.running_digest = chain_step(record, chunk.running_digest)
     chunk.chain_bytes += len(record)
-    chunk.user_digests.append((tag, r.time, r.sensor, sr.state))
     chunk.running_user_xor = user_step(chunk.running_user_xor, tag, sr.state)
     if len(chunk.order) % checkpoint_every == 0:
         chunk.checkpoints.append(chunk.running_digest)
@@ -221,7 +205,6 @@ def close_chunk(
         order=tuple(chunk.order),
         checkpoints=tuple(checkpoints),
         checkpoint_every=checkpoint_every,
-        string=chunk.string,
         integrity_proof=ChunkProof(chunk.string, signer.sign(proof_payload(
             chunk.running_digest, prev_string, chunk.string, chunk.next_string))),
         user_proof=ChunkProof(chunk.string, signer.sign(proof_payload(

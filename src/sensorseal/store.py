@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .codec import Cursor, FormatError, listed
 from .events import (
-    SensorId,
+    RedactedRecord,
     SensorState,
     StatefulReading,
     decode_reading,
@@ -43,7 +44,7 @@ from .notices import (
     encode_ack,
     encode_notice,
 )
-from .sealing import ChunkProof, RedactedRecord, SealedChunk
+from .sealing import ChunkProof, SealedChunk
 
 CHUNK_MAGIC = b"SSC1"
 BUNDLE_MAGIC = b"SSB1"
@@ -61,6 +62,8 @@ _SECTION_IDS = (SEC_ACTIVE, SEC_REDACTED, SEC_ORDER, SEC_CHECKPOINTS,
 
 _HEADER = struct.Struct("<4sHQH")          # magic, version, chunk index, n_sections
 _TABLE_ENTRY = struct.Struct("<HQQQ")      # section id, offset, length, count
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
 class StoreError(Exception):
@@ -71,16 +74,7 @@ class AuthError(StoreError):
     """Verifier authentication refused."""
 
 
-class ChunkFormatError(StoreError):
-    """A chunk file failed strict parsing.
-
-    `record` is the 1-based ordinal of the first record known to be
-    involved, when the failure is attributable to one.
-    """
-
-    def __init__(self, message: str, record: int | None = None):
-        super().__init__(message)
-        self.record = record
+ChunkFormatError = FormatError  # what `parse_chunk` raises, with its `record`
 
 
 # --- chunk file serialization ----------------------------------------------
@@ -103,12 +97,13 @@ def _pack_order(order: Iterable[int]) -> bytes:
 
 
 def _unpack_order(data: bytes, n: int) -> list[int]:
-    if len(data) != (n + 7) // 8:
-        raise ChunkFormatError("order section length mismatch")
-    bits = [(data[i // 8] >> (7 - i % 8)) & 1 for i in range(n)]
+    c = Cursor(data)
+    packed = c.take((n + 7) // 8)
+    c.done("order section")
+    bits = [(packed[i // 8] >> (7 - i % 8)) & 1 for i in range(n)]
     tail = n % 8
-    if tail and data[-1] & ((1 << (8 - tail)) - 1):
-        raise ChunkFormatError("order section has nonzero padding bits")
+    if tail and packed[-1] & ((1 << (8 - tail)) - 1):
+        raise FormatError("order section has nonzero padding bits")
     return bits
 
 
@@ -116,13 +111,19 @@ def _proof_bytes(proof: ChunkProof) -> bytes:
     return proof.string + len(proof.sig).to_bytes(2, "little") + proof.sig
 
 
+def _read_proof(c: Cursor) -> ChunkProof:
+    string = c.take(32)
+    (sig_len,) = c.unpack(_U16)
+    if sig_len != 64:
+        raise FormatError(f"proof signature length {sig_len}, expected 64")
+    return ChunkProof(string, c.take(sig_len))
+
+
 def _parse_proof(data: bytes) -> ChunkProof:
-    if len(data) < 34:
-        raise ChunkFormatError("proof section too short")
-    sig_len = int.from_bytes(data[32:34], "little")
-    if sig_len != 64 or len(data) != 34 + sig_len:
-        raise ChunkFormatError("proof section length mismatch")
-    return ChunkProof(data[:32], data[34:])
+    c = Cursor(data)
+    proof = _read_proof(c)
+    c.done("proof section")
+    return proof
 
 
 def serialize_sections(index: int, sections: dict[int, tuple[bytes, int]]) -> bytes:
@@ -159,30 +160,23 @@ def serialize_chunk(sc: SealedChunk | ParsedChunk) -> bytes:
 
 def read_sections(blob: bytes) -> tuple[int, dict[int, tuple[bytes, int]]]:
     """Structural read of a chunk file: header checks plus exact section slicing."""
-    if len(blob) < _HEADER.size:
-        raise ChunkFormatError("file shorter than header")
-    magic, version, index, n_sections = _HEADER.unpack_from(blob, 0)
+    c = Cursor(blob)
+    magic, version, index, n_sections = c.unpack(_HEADER)
     if magic != CHUNK_MAGIC:
-        raise ChunkFormatError("bad magic")
+        raise FormatError("bad magic")
     if version != FORMAT_VERSION:
-        raise ChunkFormatError(f"unsupported format version {version}")
+        raise FormatError(f"unsupported format version {version}")
     if n_sections != len(_SECTION_IDS):
-        raise ChunkFormatError("unexpected section count")
-    table_end = _HEADER.size + _TABLE_ENTRY.size * n_sections
-    if len(blob) < table_end:
-        raise ChunkFormatError("file shorter than section table")
+        raise FormatError("unexpected section count")
+    table = [c.unpack(_TABLE_ENTRY) for _ in _SECTION_IDS]
     sections: dict[int, tuple[bytes, int]] = {}
-    expected_offset = table_end
-    for i, sec_id in enumerate(_SECTION_IDS):
-        sid, offset, length, count = _TABLE_ENTRY.unpack_from(blob, _HEADER.size + i * _TABLE_ENTRY.size)
+    for sec_id, (sid, offset, length, count) in zip(_SECTION_IDS, table):
         if sid != sec_id:
-            raise ChunkFormatError(f"section id {sid} out of order")
-        if offset != expected_offset or offset + length > len(blob):
-            raise ChunkFormatError("section offsets not contiguous")
-        sections[sec_id] = (blob[offset:offset + length], count)
-        expected_offset = offset + length
-    if expected_offset != len(blob):
-        raise ChunkFormatError("trailing bytes after last section")
+            raise FormatError(f"section id {sid} out of order")
+        if offset != c.pos:
+            raise FormatError("section offsets not contiguous")
+        sections[sec_id] = (c.take(length), count)
+    c.done("chunk file")
     return index, sections
 
 
@@ -226,6 +220,25 @@ class ParsedChunk:
                 yield 0, self.redacted_encs[i], self.redacted[i].time
 
 
+def _record_section(section: str, data: bytes, count: int, decode,
+                    state: SensorState) -> tuple[list, list[bytes]]:
+    """A record section's `count` records, all in `state`, and their encodings."""
+    records, encs = [], []
+    c = Cursor(data)
+    try:
+        for i in range(1, count + 1):
+            start = c.pos
+            rec = decode(c)
+            if rec.state is not state:
+                raise FormatError(f"{rec.state.name.lower()} state in the {section} section")
+            records.append(rec)
+            encs.append(data[start:c.pos])
+    except FormatError as e:
+        raise FormatError(f"{section} record {i}: {e}", record=i) from e
+    c.done(f"{section} section")
+    return records, encs
+
+
 def parse_chunk(blob: bytes) -> ParsedChunk:
     """Strict parse: any non-canonical byte is a format error.
 
@@ -236,69 +249,40 @@ def parse_chunk(blob: bytes) -> ParsedChunk:
     index, sections = read_sections(blob)
 
     active_data, n_active = sections[SEC_ACTIVE]
-    active: list[StatefulReading] = []
-    active_encs: list[bytes] = []
-    pos = 0
-    for i in range(n_active):
-        try:
-            sr, end = decode_reading(active_data, pos)
-        except ValueError as e:
-            raise ChunkFormatError(f"active record {i + 1}: {e}", record=i + 1) from e
-        if sr.state is not SensorState.ACTIVE:
-            raise ChunkFormatError(f"passive state in cleartext section at record {i + 1}", record=i + 1)
-        active.append(sr)
-        active_encs.append(active_data[pos:end])
-        pos = end
-    if pos != len(active_data):
-        raise ChunkFormatError("active section has trailing bytes")
-
     red_data, n_passive = sections[SEC_REDACTED]
-    redacted: list[RedactedRecord] = []
-    redacted_encs: list[bytes] = []
-    pos = 0
-    for i in range(n_passive):
-        try:
-            (tag, sensor, state, t), end = decode_redacted(red_data, pos)
-        except ValueError as e:
-            raise ChunkFormatError(f"redacted record {i + 1}: {e}", record=i + 1) from e
-        if state is not SensorState.PASSIVE:
-            raise ChunkFormatError(f"active state in redacted section at record {i + 1}", record=i + 1)
-        redacted.append(RedactedRecord(tag, sensor, state, t))
-        redacted_encs.append(red_data[pos:end])
-        pos = end
-    if pos != len(red_data):
-        raise ChunkFormatError("redacted section has trailing bytes")
+    active, active_encs = _record_section(
+        "active", active_data, n_active, decode_reading, SensorState.ACTIVE)
+    redacted, redacted_encs = _record_section(
+        "redacted", red_data, n_passive, decode_redacted, SensorState.PASSIVE)
 
     order_data, n = sections[SEC_ORDER]
     if n != n_active + n_passive or n == 0:
-        raise ChunkFormatError("order count disagrees with record counts")
+        raise FormatError("order count disagrees with record counts")
     order = _unpack_order(order_data, n)
     if sum(order) != n_active:
-        raise ChunkFormatError("order bits disagree with record counts")
+        raise FormatError("order bits disagree with record counts")
 
     cp_data, n_cp = sections[SEC_CHECKPOINTS]
-    if len(cp_data) < 4:
-        raise ChunkFormatError("checkpoint section too short")
-    every = int.from_bytes(cp_data[:4], "little")
+    c = Cursor(cp_data)
+    (every,) = c.unpack(_U32)
     if every == 0:
-        raise ChunkFormatError("checkpoint interval must be positive")
-    if len(cp_data) != 4 + 32 * n_cp:
-        raise ChunkFormatError("checkpoint section length mismatch")
+        raise FormatError("checkpoint interval must be positive")
     if n_cp != len(checkpoint_positions(n, every)):
-        raise ChunkFormatError("checkpoint count disagrees with record count")
-    checkpoints = [cp_data[4 + 32 * i:36 + 32 * i] for i in range(n_cp)]
+        raise FormatError("checkpoint count disagrees with record count")
+    checkpoints = [c.take(32) for _ in range(n_cp)]
+    c.done("checkpoint section")
 
     integrity_proof = _parse_proof(sections[SEC_INTEGRITY_PROOF][0])
     user_proof = _parse_proof(sections[SEC_USER_PROOF][0])
     if (sections[SEC_INTEGRITY_PROOF][1] != 1 or sections[SEC_USER_PROOF][1] != 1
             or sections[SEC_RULESET][1] != 1):
-        raise ChunkFormatError("proof/digest sections must have count 1")
+        raise FormatError("proof/digest sections must have count 1")
     if integrity_proof.string != user_proof.string:
-        raise ChunkFormatError("integrity and user proofs carry different strings")
+        raise FormatError("integrity and user proofs carry different strings")
 
-    digest_data = sections[SEC_RULESET][0]
-    if len(digest_data) != 32:
-        raise ChunkFormatError("ruleset digest must be 32 bytes")
+    c = Cursor(sections[SEC_RULESET][0])
+    digest = c.take(32)
+    c.done("ruleset digest section")
 
     return ParsedChunk(
         index=index,
@@ -311,7 +295,7 @@ def parse_chunk(blob: bytes) -> ParsedChunk:
         checkpoint_every=every,
         integrity_proof=integrity_proof,
         user_proof=user_proof,
-        ruleset_digest=digest_data,
+        ruleset_digest=digest,
     )
 
 
@@ -346,18 +330,11 @@ class AuditorEntry:
 
 
 @dataclass(frozen=True)
-class UserRecord:
-    tag: bytes
-    sensor: SensorId
-    state: SensorState
-    time: int
-
-
-@dataclass(frozen=True)
 class UserEntry:
     index: int
-    records: tuple[UserRecord, ...] | None
+    records: tuple[RedactedRecord, ...] | None
     proof: ChunkProof | None
+    malformed: str | None = None  # why a bundle file's entry failed to decode
 
 
 @dataclass
@@ -385,7 +362,7 @@ class PresharedKeyAuth(Authenticator):
         return credential is not None and hmac.compare_digest(self._key, credential)
 
 
-def derive_user_records(parsed: ParsedChunk) -> tuple[UserRecord, ...]:
+def derive_user_records(parsed: ParsedChunk) -> tuple[RedactedRecord, ...]:
     """Per-reading (tag, sensor, state, time) view, device ids stripped.
 
     Tags for active readings are recomputed from the stored cleartext;
@@ -398,13 +375,12 @@ def derive_user_records(parsed: ParsedChunk) -> tuple[UserRecord, ...]:
     for bit, i in parsed.slots():
         if bit:
             sr = parsed.active[i]
-            records.append(UserRecord(
+            records.append(RedactedRecord(
                 presence_digest(sr.reading.device, sr.reading.time),
                 sr.reading.sensor, sr.state, sr.reading.time,
             ))
         else:
-            r = parsed.redacted[i]
-            records.append(UserRecord(r.tag, r.sensor, r.state, r.time))
+            records.append(parsed.redacted[i])
     return tuple(records)
 
 
@@ -424,12 +400,9 @@ def _append_record(path: Path, record: bytes) -> None:
 def _read_records(path: Path) -> Iterator[bytes]:
     if not path.exists():
         return
-    blob = path.read_bytes()
-    pos = 0
-    while pos < len(blob):
-        length = int.from_bytes(blob[pos:pos + 4], "little")
-        yield blob[pos + 4:pos + 4 + length]
-        pos += 4 + length
+    c = Cursor(path.read_bytes())
+    while c.pos < c.end:
+        yield c.take(c.unpack(_U32)[0])
 
 
 class ChunkStore:
@@ -606,7 +579,7 @@ class ChunkStore:
                 continue
             try:
                 parsed = parse_chunk(raw)
-            except ChunkFormatError:
+            except FormatError:
                 entries.append(UserEntry(i, None, None))
                 continue
             entries.append(UserEntry(i, derive_user_records(parsed), parsed.user_proof))
@@ -616,7 +589,11 @@ class ChunkStore:
 
 # --- bundle files (offline transport) ---------------------------------------
 
-_BUNDLE_HEADER = struct.Struct("<4sHBQQB")
+_BUNDLE_HEADER = struct.Struct("<4sHBQQB")  # magic, version, kind, first, last, flags
+_BUNDLE_KINDS = {1: "auditor", 2: "user"}
+_STRING = struct.Struct("<Q32s")              # chunk index, its random string
+_ENTRY = struct.Struct("<QB")                 # chunk index, status (1 = payload follows)
+_U64 = struct.Struct("<Q")
 
 
 def _encode_user_entry(entry: UserEntry) -> bytes:
@@ -628,14 +605,12 @@ def _encode_user_entry(entry: UserEntry) -> bytes:
 
 
 def _decode_user_entry(index: int, payload: bytes) -> UserEntry:
-    n = int.from_bytes(payload[:4], "little")
-    pos = 4
-    records = []
-    for _ in range(n):
-        (tag, sensor, state, t), pos = decode_redacted(payload, pos)
-        records.append(UserRecord(tag, sensor, state, t))
-    proof = _parse_proof(payload[pos:])
-    return UserEntry(index, tuple(records), proof)
+    c = Cursor(payload)
+    (n,) = c.unpack(_U32)
+    records = tuple(decode_redacted(c) for _ in range(n))
+    proof = _read_proof(c)
+    c.done("user entry")
+    return UserEntry(index, records, proof)
 
 
 def write_bundle_file(path: str | Path, bundle: Bundle) -> None:
@@ -680,45 +655,64 @@ def write_bundle_file(path: str | Path, bundle: Bundle) -> None:
 
 
 def read_bundle_file(path: str | Path) -> Bundle:
-    """Open a bundle file; entries stream lazily to keep memory flat."""
+    """Open a bundle file; entries stream lazily to keep memory flat.
+
+    A malformed header raises `FormatError`, as does a framing error while
+    streaming, which ends the stream; an entry whose payload does not
+    decode streams out marked `malformed`.
+    """
     f = open(path, "rb")
-    header = f.read(_BUNDLE_HEADER.size)
-    if len(header) != _BUNDLE_HEADER.size:
-        raise StoreError("bundle file truncated")
-    magic, version, kind, first, last, flags = _BUNDLE_HEADER.unpack(header)
-    if magic != BUNDLE_MAGIC or version != FORMAT_VERSION:
-        raise StoreError("not a bundle file")
-    seed = f.read(32) if flags & 1 else None
-    terminal = f.read(32) if flags & 2 else None
-    log_first = int.from_bytes(f.read(8), "little") if flags & 4 else None
-    log_last = int.from_bytes(f.read(8), "little") if flags & 8 else None
-    notices = []
-    (n_notices,) = struct.unpack("<H", f.read(2))
-    for _ in range(n_notices):
-        (length,) = struct.unpack("<I", f.read(4))
-        notices.append(decode_notice(f.read(length)))
-    (n_strings,) = struct.unpack("<I", f.read(4))
-    by_index = {}
-    for _ in range(n_strings):
-        idx = int.from_bytes(f.read(8), "little")
-        by_index[idx] = f.read(32)
-    (n_entries,) = struct.unpack("<I", f.read(4))
-    kind_name = "auditor" if kind == 1 else "user"
+    size = left = os.fstat(f.fileno()).st_size
+
+    def read(n: int) -> bytes:
+        nonlocal left
+        if n > left:
+            raise FormatError(f"bundle file truncated: {n} bytes needed at offset {size - left}")
+        left -= n
+        return f.read(n)
+
+    def unpack(layout: struct.Struct) -> tuple:
+        return layout.unpack(read(layout.size))
+
+    try:
+        magic, version, kind, first, last, flags = unpack(_BUNDLE_HEADER)
+        if magic != BUNDLE_MAGIC or version != FORMAT_VERSION:
+            raise FormatError("not a bundle file")
+        kind_name = listed(_BUNDLE_KINDS, kind, "bundle kind")
+        if flags & ~0x0F:
+            raise FormatError(f"bad bundle flags {flags:#x}")
+        seed = read(32) if flags & 1 else None
+        terminal = read(32) if flags & 2 else None
+        log_first = unpack(_U64)[0] if flags & 4 else None
+        log_last = unpack(_U64)[0] if flags & 8 else None
+        (n_notices,) = unpack(_U16)
+        notices = [decode_notice(read(unpack(_U32)[0])) for _ in range(n_notices)]
+        (n_strings,) = unpack(_U32)
+        by_index = dict(unpack(_STRING) for _ in range(n_strings))
+        (n_entries,) = unpack(_U32)
+    except BaseException:
+        f.close()
+        raise
 
     def entry_stream() -> Iterator:
         with f:
             for _ in range(n_entries):
-                idx = int.from_bytes(f.read(8), "little")
-                status = f.read(1)[0]
-                if status == 0:
-                    yield AuditorEntry(idx, None) if kind == 1 else UserEntry(idx, None, None)
-                    continue
-                (length,) = struct.unpack("<I", f.read(4))
-                payload = f.read(length)
+                idx, status = unpack(_ENTRY)
+                if status not in (0, 1):
+                    raise FormatError(f"bad entry status {status}")
                 if kind == 1:
-                    yield AuditorEntry(idx, payload)
+                    yield AuditorEntry(idx, read(unpack(_U32)[0]) if status else None)
+                elif not status:
+                    yield UserEntry(idx, None, None)
                 else:
-                    yield _decode_user_entry(idx, payload)
+                    payload = read(unpack(_U32)[0])
+                    try:
+                        entry = _decode_user_entry(idx, payload)
+                    except FormatError as e:
+                        entry = UserEntry(idx, None, None, malformed=str(e))
+                    yield entry
+            if left:
+                raise FormatError(f"bundle file has {left} trailing bytes")
 
     strings = BundleStrings(seed, terminal, by_index, log_first, log_last)
     return Bundle(kind_name, first, last, strings, notices, entry_stream())

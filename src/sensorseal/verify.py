@@ -9,7 +9,8 @@ tag/state chain for the user proof and recognizes their own entries by
 recomputing their presence tags.
 
 Verdict semantics: Missing means the store could not produce the chunk;
-Tampered means the served data contradicts itself or the proof;
+Tampered means the served data contradicts itself or the proof, or
+does not decode;
 BadProof means the data is self-consistent but the proof side fails
 (wrong signing key, unavailable neighbor string, string mismatch) —
 which is also what a deleted neighbor looks like from here. Failure
@@ -24,6 +25,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
+from .codec import FormatError
 from .crypto import PublicKeys, verify
 from .events import DeviceId, SensorId, SensorState, presence_digest
 from .notices import NoticeMessage, verify_notice
@@ -33,7 +35,6 @@ from .store import (
     AuditorEntry,
     Bundle,
     BundleStrings,
-    ChunkFormatError,
     UserEntry,
     checkpoint_positions,
     parse_chunk,
@@ -94,7 +95,7 @@ def audit_chunk(
         return Verdict(Outcome.MISSING, x, "chunk absent from store")
     try:
         parsed = parse_chunk(entry.raw)
-    except ChunkFormatError as e:
+    except FormatError as e:
         return Verdict(Outcome.TAMPERED, x, f"malformed chunk file: {e}", e.record)
     if parsed.index != x:
         return Verdict(Outcome.TAMPERED, x, f"chunk file claims index {parsed.index}")
@@ -151,6 +152,9 @@ def verify_user_chunk(
     verdict says the device does not occur in the chunk.
     """
     x = entry.index
+    if entry.malformed is not None:
+        verdict = Verdict(Outcome.TAMPERED, x, f"malformed bundle entry: {entry.malformed}")
+        return verdict, PresenceReport(x)
     if entry.records is None or entry.proof is None:
         return Verdict(Outcome.MISSING, x, "chunk absent from store"), PresenceReport(x)
 
@@ -188,6 +192,21 @@ def _summary(verdicts: list[Verdict], seconds: float) -> dict:
     }
 
 
+def _check_entries(bundle: Bundle, check, broken) -> list:
+    """`check` each entry as the bundle streams it. A framing error ends the
+    stream with one Tampered verdict, passed through `broken`, at the index
+    after the last entry read."""
+    results = []
+    index = bundle.first
+    try:
+        for entry in bundle.entries:
+            results.append(check(entry))
+            index = entry.index + 1
+    except FormatError as e:
+        results.append(broken(Verdict(Outcome.TAMPERED, index, f"malformed bundle: {e}")))
+    return results
+
+
 def audit_range(
     bundle: Bundle,
     enclave_pub: PublicKeys,
@@ -198,8 +217,9 @@ def audit_range(
         expected_rule_digests(bundle.notices, notifier_pub) if notifier_pub is not None else None
     )
     started = time.perf_counter()
-    verdicts = [audit_chunk(entry, bundle.strings, enclave_pub, expected)
-                for entry in bundle.entries]
+    verdicts = _check_entries(
+        bundle, lambda entry: audit_chunk(entry, bundle.strings, enclave_pub, expected),
+        lambda verdict: verdict)
     return verdicts, _summary(verdicts, time.perf_counter() - started)
 
 
@@ -210,8 +230,9 @@ def verify_user_range(
 ) -> tuple[list[tuple[Verdict, PresenceReport]], dict]:
     """User-verify every chunk in a bundle (streaming-friendly)."""
     started = time.perf_counter()
-    results = [verify_user_chunk(entry, device, bundle.strings, enclave_pub)
-               for entry in bundle.entries]
+    results = _check_entries(
+        bundle, lambda entry: verify_user_chunk(entry, device, bundle.strings, enclave_pub),
+        lambda verdict: (verdict, PresenceReport(verdict.chunk_index)))
     verdicts = [v for v, _ in results]
     summary = _summary(verdicts, time.perf_counter() - started)
     summary["occurrences"] = sum(len(r.entries) for _, r in results)

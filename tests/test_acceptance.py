@@ -41,6 +41,7 @@ from sensorseal.harness import MS_PER_HOUR, device_pool, building_sensors
 from sensorseal.notices import NotificationModel
 from sensorseal.sealing import OpenChunk, close_chunk, seal_append
 from sensorseal.store import _encode_user_entry, read_bundle_file, write_bundle_file
+from sensorseal.store import derive_user_records, parse_chunk, serialize_chunk
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -331,8 +332,8 @@ def test_criterion_7_oracle_equivalence():
                 SensorReading(DeviceId(device), SensorId(sensor), when),
                 SensorState(state))
             seal_append(chunk, chunk_input, 7)
-        lib_tags = [d[0] for d in chunk.user_digests]
         sealed = close_chunk(chunk, g[0], signer, 7)
+        lib_tags = [rec.tag for rec in derive_user_records(parse_chunk(serialize_chunk(sealed)))]
 
         h, user_fold, tags, eoc_mask, chain_payload, user_payload = oracle_seal(raw, *g)
         same = (

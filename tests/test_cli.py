@@ -70,6 +70,40 @@ def test_bundle_export_and_offline_verify(workdir, capsys):
     assert "occurrences=" in out
 
 
+@pytest.mark.parametrize("cut, code", [
+    (lambda blob: blob[:40], 2),               # inside the header: unreadable input
+    (lambda blob: blob[:len(blob) // 2], 1),   # inside an entry: a Tampered verdict
+], ids=["header", "half"])
+def test_truncated_bundle_exits_without_traceback(workdir, capsys, cut, code):
+    bootstrap(workdir)
+    assert run_cli("export-bundle", "--store", "store", "--kind", "auditor",
+                   "--range", "1..3", "--out", "aud.ssb") == 0
+    (workdir / "cut.ssb").write_bytes(cut((workdir / "aud.ssb").read_bytes()))
+    capsys.readouterr()
+    assert run_cli("verify-auditor", "--keys", "keys", "--bundle", "cut.ssb") == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("error: bundle file truncated")
+    else:
+        assert "outcome=Tampered" in captured.out
+
+
+@pytest.mark.parametrize("command", ["verify-auditor", "verify-user"])
+def test_unreadable_bundle_path_exits_2(workdir, capsys, command):
+    bootstrap(workdir)
+    assert run_cli("export-bundle", "--store", "store", "--kind", "auditor",
+                   "--range", "1..2", "--out", "aud.ssb") == 0
+    device = sorted(os.listdir(workdir / "keys" / "devices"))[0].removesuffix(".key")
+    extra = ["--device", device] if command == "verify-user" else []
+    capsys.readouterr()
+    # a directory, then a bundle of the other kind for verify-user
+    assert run_cli(command, "--keys", "keys", "--bundle", "store", *extra) == 2
+    assert "error:" in capsys.readouterr().err
+    if command == "verify-user":
+        assert run_cli(command, "--keys", "keys", "--bundle", "aud.ssb", *extra) == 2
+        assert "not a user bundle" in capsys.readouterr().err
+
+
 def test_user_bundle_wrong_psk_refused(workdir, capsys):
     bootstrap(workdir)
     rc = run_cli("export-bundle", "--store", "store", "--kind", "user",

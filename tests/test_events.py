@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sensorseal.codec import Cursor
 from sensorseal.events import (
     DeviceId,
     EncodingError,
@@ -64,9 +65,9 @@ def test_nonpositive_time_rejected():
 
 @given(readings)
 def test_round_trip(sr):
-    decoded, end = decode_reading(encode_reading(sr))
-    assert decoded == sr
-    assert end == len(encode_reading(sr))
+    c = Cursor(encode_reading(sr))
+    assert decode_reading(c) == sr
+    c.done()
 
 
 @given(readings, readings)
@@ -90,9 +91,10 @@ def test_wire_params_carried():
 def test_redacted_round_trip(device, sensor, t1, t2):
     tag = presence_digest(DeviceId(device), t1)
     enc = encode_redacted(tag, SensorId(sensor), SensorState.PASSIVE, t2)
-    (tag2, sensor2, state2, t), end = decode_redacted(enc)
-    assert (tag2, sensor2.id, state2, t) == (tag, sensor, SensorState.PASSIVE, t2)
-    assert end == len(enc)
+    c = Cursor(enc)
+    rec = decode_redacted(c)
+    assert (rec.tag, rec.sensor.id, rec.state, rec.time) == (tag, sensor, SensorState.PASSIVE, t2)
+    c.done()
 
 
 def test_record_kinds_never_collide():

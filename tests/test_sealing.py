@@ -24,7 +24,7 @@ from sensorseal import (
     xor_bytes,
 )
 from sensorseal.crypto import sha256
-from sensorseal.events import encode_wire_reading
+from sensorseal.events import encode_wire_reading, presence_digest
 from sensorseal.notices import Acknowledgment, NotificationModel
 from sensorseal.rules import EMPTY_RULESET_DIGEST
 from sensorseal.sealing import (
@@ -74,8 +74,9 @@ def test_three_reading_chain_matches_oracle():
     for reading in FIXED:
         seal_append(chunk, reading)
     assert chunk.running_digest.hex() == FIXED_H3
-    assert chunk.user_digests[0][0].hex() == FIXED_O1
-    assert chunk.user_digests[2][0].hex() == FIXED_O3
+    first = FIXED[0].reading
+    assert presence_digest(first.device, first.time).hex() == FIXED_O1
+    assert chunk.redacted[0].tag.hex() == FIXED_O3
     assert chunk.running_user_xor.to_bytes(32, "big").hex() == FIXED_USER_FOLD
 
 
@@ -83,7 +84,8 @@ def test_same_device_distinct_times_distinct_tags():
     chunk = OpenChunk(1, G[1], G[2])
     seal_append(chunk, FIXED[0])
     seal_append(chunk, FIXED[2])  # same device, later time
-    assert chunk.user_digests[0][0] != chunk.user_digests[1][0]
+    first = FIXED[0].reading
+    assert presence_digest(first.device, first.time) != chunk.redacted[0].tag
 
 
 def test_passive_reading_never_in_cleartext():

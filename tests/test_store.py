@@ -42,7 +42,6 @@ def test_chunk_round_trip_bit_exact(run, actors):
             order=tuple(parsed.order),
             checkpoints=tuple(parsed.checkpoints),
             checkpoint_every=parsed.checkpoint_every,
-            string=parsed.integrity_proof.string,
             integrity_proof=parsed.integrity_proof,
             user_proof=parsed.user_proof,
             ruleset_digest=parsed.ruleset_digest,
