@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import statistics
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,8 @@ from .crypto import PublicKeys
 from .events import DeviceId
 from .store import ChunkStore, read_bundle_file, write_bundle_file
 from .verify import audit_range, verify_user_range
+
+MIN_SAMPLE_SECONDS = 0.02
 
 
 class BenchError(Exception):
@@ -41,30 +44,35 @@ def auditor_scaling(
 ) -> list[BenchPoint]:
     """Time auditor verification over prefixes of the stored log.
 
-    Small counts are noisy at sub-millisecond scale, so each point is
-    the median of `repeats` runs.
+    Each point is the median of `repeats` samples, taken in rounds that
+    visit every count in turn, so a slow spell of a shared machine falls
+    on all points alike. A sample is the mean of as many audits as fill
+    `MIN_SAMPLE_SECONDS`: a lone sub-millisecond run mostly times a cold cache.
     """
     indices = store.indices()
     if not indices:
         raise BenchError("store holds no chunks")
+    if max(counts) > len(indices):
+        raise BenchError(f"store has {len(indices)} chunks, need {max(counts)}")
     first = indices[0]
-    points = []
-    for count in counts:
-        if count > len(indices):
-            raise BenchError(f"store has {len(indices)} chunks, need {count}")
-        last = first + count - 1
-        samples = []
-        readings = 0
-        for _ in range(repeats):
-            bundle = store.get_auditor_bundle(first, last)
-            verdicts, summary = audit_range(bundle, enclave_pub)
-            bad = [v for v in verdicts if not v.ok]
-            if bad:
-                raise BenchError(f"benchmark store does not verify: {bad[0]}")
-            samples.append(summary["seconds"])
-        readings = sum(store.manifest["chunks"][str(i)]["n"] for i in range(first, last + 1))
-        points.append(BenchPoint(count, statistics.median(samples), readings))
-    return points
+    samples: dict[int, list[float]] = {count: [] for count in counts}
+    for _ in range(repeats):
+        for count in counts:
+            bundle = store.get_auditor_bundle(first, first + count - 1)
+            runs = seconds = 0
+            while seconds < MIN_SAMPLE_SECONDS:
+                verdicts, summary = audit_range(bundle, enclave_pub)
+                bad = [v for v in verdicts if not v.ok]
+                if bad:
+                    raise BenchError(f"benchmark store does not verify: {bad[0]}")
+                runs += 1
+                seconds += summary["seconds"]
+            samples[count].append(seconds / runs)
+    return [
+        BenchPoint(count, statistics.median(samples[count]),
+                   sum(store.manifest["chunks"][str(i)]["n"] for i in range(first, first + count)))
+        for count in counts
+    ]
 
 
 def user_streaming_seconds(
@@ -82,8 +90,6 @@ def user_streaming_seconds(
     memory stays flat in the number of chunks (the constrained-user
     profile).
     """
-    import tempfile
-
     bundle = store.get_user_bundle(first, last, credential)
     if bundle_path is None:
         with tempfile.NamedTemporaryFile(suffix=".ssb", delete=False) as f:

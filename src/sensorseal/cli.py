@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -320,6 +322,14 @@ def _open_store(store_root: Path) -> ChunkStore:
     return ChunkStore(store_root, user_auth=auth)
 
 
+def _device_arg(text: str) -> DeviceId:
+    """A device id given on the command line in hex."""
+    try:
+        return DeviceId(bytes.fromhex(text))
+    except ValueError as e:
+        raise CliError(f"bad device id {text!r}: {e}") from None
+
+
 def store_payload_digest(store: ChunkStore) -> str:
     """Digest over all chunk files in index order (reproducibility check)."""
     acc = sha256(b"store")
@@ -359,8 +369,6 @@ def cmd_notify(args, config) -> int:
     rs = parse_rules(rules_path.read_text())
 
     # the sealer's envelope for the notifier, regenerated from private state
-    import tempfile
-
     with tempfile.TemporaryDirectory() as scratch_dir:
         sealer = Sealer(keys["enclave"], keys["notifier"].public, keys["registry"],
                         ChunkStore(scratch_dir), _chunk_policy(args, config), model)
@@ -392,7 +400,7 @@ def cmd_ack(args, config) -> int:
     if args.all:
         devices = list(keys["registry"])
     elif args.device:
-        devices = [DeviceId(bytes.fromhex(args.device))]
+        devices = [_device_arg(args.device)]
     else:
         raise CliError("pass --device HEX or --all")
     now = int(time.time() * 1000)
@@ -495,7 +503,7 @@ def cmd_verify_auditor(args, config) -> int:
 
 def cmd_verify_user(args, config) -> int:
     enclave_pub, _ = load_public(_keys_root(args, config))
-    device = DeviceId(bytes.fromhex(args.device))
+    device = _device_arg(args.device)
     if args.bundle:
         bundle = _read_bundle(args.bundle, "user")
     else:
@@ -518,8 +526,6 @@ def cmd_verify_user(args, config) -> int:
 
 
 def cmd_tamper(args, config) -> int:
-    import random
-
     store_root = _store_root(args, config)
     action = TamperAction(
         kind=TamperKind(args.kind),
@@ -547,7 +553,7 @@ def cmd_bench(args, config) -> int:
         print(f"csv written to {args.csv}")
     if args.user_device:
         psk = _setting(args, config, "psk", None)
-        device = DeviceId(bytes.fromhex(args.user_device))
+        device = _device_arg(args.user_device)
         indices = store.indices()
         last = min(indices[0] + args.user_chunks - 1, indices[-1])
         seconds = user_streaming_seconds(store, enclave_pub, device, indices[0], last,

@@ -28,7 +28,6 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives import hashes, serialization
 
-DIGEST_LEN = 32
 RANDOM_LEN = 32
 SIGNATURE_LEN = 64
 ENVELOPE_OVERHEAD = 32 + 12 + 16  # ephemeral public key, nonce, AEAD tag

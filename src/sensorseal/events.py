@@ -125,6 +125,11 @@ def decode_reading(c: Cursor) -> StatefulReading:
     return StatefulReading(reading, listed(_STATES, state, "state"))
 
 
+def record_time(enc: bytes) -> int:
+    """The time of a full or redacted record encoding; both end in state || t8."""
+    return int.from_bytes(enc[-8:], "big")
+
+
 def encode_wire_reading(r: SensorReading) -> bytes:
     """Transport encoding used inside the controller-to-sealer envelope."""
     return lp(r.device.id) + lp(r.sensor.id) + encode_time(r.time) + lp(r.params)

@@ -18,7 +18,7 @@ from the proofs, not from parse errors alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -31,17 +31,15 @@ from .events import (
     SensorReading,
     SensorState,
     StatefulReading,
+    encode_reading,
     encode_wire_reading,
 )
 from .sealing import CHAIN_SEED, ChunkProof, chain_step, proof_payload, user_step
 from .store import (
-    SEC_ACTIVE,
-    SEC_REDACTED,
     ChunkStore,
     derive_user_records,
     parse_chunk,
-    read_sections,
-    serialize_sections,
+    serialize_chunk,
 )
 
 MS_PER_MIN = 60_000
@@ -213,19 +211,11 @@ def apply_tamper(store_root: str | Path, action: TamperAction, rng: random.Rando
         )
         if y == x or y not in indices:
             raise WorkloadError("swap needs two distinct stored chunks")
-        raw_x, raw_y = store.chunk_raw(x), store.chunk_raw(y)
-        _, sec_x = read_sections(raw_x)
-        _, sec_y = read_sections(raw_y)
-        ent_x = store.manifest["chunks"][str(x)]
-        ent_y = store.manifest["chunks"][str(y)]
-        (store.root / ent_x["file"]).write_bytes(serialize_sections(x, sec_y))
-        (store.root / ent_y["file"]).write_bytes(serialize_sections(y, sec_x))
-        # swap all metadata but keep each slot's file name
-        ent_x, ent_y = dict(ent_y), dict(ent_x)
-        ent_x["file"], ent_y["file"] = ent_y["file"], ent_x["file"]
-        store.manifest["chunks"][str(x)] = ent_x
-        store.manifest["chunks"][str(y)] = ent_y
-        store._save_manifest()
+        chunk_x, chunk_y = parse_chunk(store.chunk_raw(x)), parse_chunk(store.chunk_raw(y))
+        file_x, file_y = (store.manifest["chunks"][str(i)]["file"] for i in (x, y))
+        # each slot keeps its file name and index and takes the other's contents
+        store.put_chunk(file_x, replace(chunk_y, index=x))
+        store.put_chunk(file_y, replace(chunk_x, index=y))
         return TamperReport(kind, x, f"contents of chunks {x} and {y} exchanged")
 
     index = _pick_chunk(store, action, rng)
@@ -242,29 +232,31 @@ def apply_tamper(store_root: str | Path, action: TamperAction, rng: random.Rando
 
     parsed = parse_chunk(blob)
     slots = list(parsed.slots())
+    active, redacted, order = list(parsed.active_encs), list(parsed.redacted_encs), list(parsed.order)
+
+    def edited():
+        return replace(parsed, active_encs=tuple(active), redacted_encs=tuple(redacted),
+                       order=bytes(order))
 
     if kind is TamperKind.MODIFY_READING:
         ordinal = action.record if action.record is not None else rng.randint(1, len(slots))
         is_active, i = slots[ordinal - 1]
-        encs = parsed.active_encs if is_active else parsed.redacted_encs
-        sec_id = SEC_ACTIVE if is_active else SEC_REDACTED
-        header_index, sections = read_sections(blob)
-        data, count = sections[sec_id]
-        payload = bytearray(data)
+        encs = active if is_active else redacted
         rel = rng.choice(_value_byte_offsets(encs[i], redacted=not is_active))
-        payload[sum(map(len, encs[:i])) + rel] ^= 1 << rng.randint(0, 7)
-        sections[sec_id] = (bytes(payload), count)
-        path.write_bytes(serialize_sections(header_index, sections))
+        enc = bytearray(encs[i])
+        enc[rel] ^= 1 << rng.randint(0, 7)
+        encs[i] = bytes(enc)
+        path.write_bytes(serialize_chunk(edited()))
         return TamperReport(kind, index, f"bit flipped in record {ordinal} of chunk {index}", ordinal)
 
     if kind is TamperKind.DELETE_READING:
         ordinal = action.record if action.record is not None else rng.randint(1, len(slots))
         is_active, i = slots[ordinal - 1]
-        del (parsed.active if is_active else parsed.redacted)[i]
-        del parsed.order[ordinal - 1]
-        if not parsed.order:
+        del (active if is_active else redacted)[i]
+        del order[ordinal - 1]
+        if not order:
             raise WorkloadError("refusing to delete the only record; delete the chunk instead")
-        store.put_chunk(entry["file"], parsed)
+        store.put_chunk(entry["file"], edited())
         return TamperReport(kind, index, f"record {ordinal} deleted from chunk {index}", ordinal)
 
     if kind is TamperKind.INSERT_READING:
@@ -275,9 +267,9 @@ def apply_tamper(store_root: str | Path, action: TamperAction, rng: random.Rando
         fabricated = StatefulReading(
             SensorReading(DeviceId(rng.randbytes(6)), anchor.sensor, anchor.time), SensorState.ACTIVE,
         )
-        parsed.active.insert(sum(parsed.order[:ordinal - 1]), fabricated)
-        parsed.order.insert(ordinal - 1, 1)
-        store.put_chunk(entry["file"], parsed)
+        active.insert(sum(order[:ordinal - 1]), encode_reading(fabricated))
+        order.insert(ordinal - 1, 1)
+        store.put_chunk(entry["file"], edited())
         return TamperReport(kind, index, f"fabricated reading inserted at {ordinal} in chunk {index}", ordinal)
 
     if kind is TamperKind.FORGE_PROOF:
@@ -290,13 +282,14 @@ def apply_tamper(store_root: str | Path, action: TamperAction, rng: random.Rando
             for rec in derive_user_records(parsed):
                 fold = user_step(fold, rec.tag, rec.state)
             payload = proof_payload(fold.to_bytes(32, "big"), prev, own, nxt)
-            parsed.user_proof = ChunkProof(own, rogue.sign(payload))
+            forged = replace(parsed, user_proof=ChunkProof(own, rogue.sign(payload)))
         else:
             digest = CHAIN_SEED
             for _, enc, _t in parsed.merged():
                 digest = chain_step(enc, digest)
-            parsed.integrity_proof = ChunkProof(own, rogue.sign(proof_payload(digest, prev, own, nxt)))
-        store.put_chunk(entry["file"], parsed)
+            forged = replace(parsed, integrity_proof=ChunkProof(
+                own, rogue.sign(proof_payload(digest, prev, own, nxt))))
+        store.put_chunk(entry["file"], forged)
         return TamperReport(kind, index,
                             f"{action.target} of chunk {index} re-signed with a rogue key")
 

@@ -19,7 +19,7 @@ from enum import Enum
 from struct import Struct
 
 from .codec import Cursor, FormatError, listed
-from .crypto import KeyPair, PublicKeys, sha256, verify
+from .crypto import CryptoError, KeyPair, PublicKeys, sha256, verify
 from .events import DeviceId, lp, encode_time
 from .rules import RuleSet, parse_rules
 
@@ -116,8 +116,6 @@ class Notifier:
         Rejects the envelope unless the ciphertext authenticates and the
         decrypted rules reproduce the envelope's digest exactly.
         """
-        from .crypto import CryptoError
-
         try:
             text = self._keys.open_sealed(envelope.ct_for_notifier)
         except CryptoError as e:

@@ -16,15 +16,21 @@ can be emitted immediately; the stream's first chunk substitutes a
 published seed string for its missing predecessor, and an explicit
 finalize publishes the terminal string the last chunk's proof needs.
 
-Passive readings are never written in cleartext: they enter the chain
-as redacted records and their plaintext is dropped at append time.
+Every record is encoded once, at append: the open chunk keeps the
+canonical bytes the chain fold hashed, and the sealed chunk carries
+them unchanged to disk and on to the verifiers. Passive readings are
+never written in cleartext: they enter the chain as redacted records
+and their device id is dropped at append time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator
 
+from .codec import Cursor
 from .crypto import (
     CryptoError,
     KeyPair,
@@ -42,10 +48,13 @@ from .events import (
     SensorReading,
     SensorState,
     StatefulReading,
+    decode_reading,
+    decode_redacted,
     decode_wire_reading,
     encode_reading,
     encode_redacted,
     presence_digest,
+    record_time,
     state_digest,
 )
 from .notices import (
@@ -92,10 +101,18 @@ class ChunkProof:
 
 @dataclass(frozen=True)
 class SealedChunk:
+    """A sealed chunk, the one form it takes from the sealer to disk to the verifiers.
+
+    Each record is held as its canonical encoding, the bytes the chain
+    fold hashed: full encodings in `active_encs`, redacted ones in
+    `redacted_encs`, and `order` merges them back into sealing order.
+    `active` and `redacted` are views decoded from those bytes.
+    """
+
     index: int
-    active: tuple[StatefulReading, ...]
-    redacted: tuple[RedactedRecord, ...]
-    order: tuple[int, ...]            # 1 = active, 0 = redacted, in sealing order
+    active_encs: tuple[bytes, ...]
+    redacted_encs: tuple[bytes, ...]
+    order: bytes                      # a byte per record in sealing order: 1 active, 0 redacted
     checkpoints: tuple[bytes, ...]    # running chain digest every K records + final
     checkpoint_every: int
     integrity_proof: ChunkProof
@@ -106,13 +123,35 @@ class SealedChunk:
     def n_readings(self) -> int:
         return len(self.order)
 
+    @cached_property
+    def active(self) -> tuple[StatefulReading, ...]:
+        return tuple(decode_reading(Cursor(enc)) for enc in self.active_encs)
+
+    @cached_property
+    def redacted(self) -> tuple[RedactedRecord, ...]:
+        return tuple(decode_redacted(Cursor(enc)) for enc in self.redacted_encs)
+
+    def slots(self) -> Iterator[tuple[int, int]]:
+        """Records in sealing order as (is_active, index within its section)."""
+        seen = [0, 0]
+        for bit in self.order:
+            yield bit, seen[bit]
+            seen[bit] += 1
+
+    def merged(self) -> Iterator[tuple[int, bytes, int]]:
+        """Records in sealing order as (is_active, chain encoding, time)."""
+        active, redacted = iter(self.active_encs), iter(self.redacted_encs)
+        for bit in self.order:
+            enc = next(active) if bit else next(redacted)
+            yield bit, enc, record_time(enc)
+
 
 class OpenChunk:
     """Accumulator for the chunk currently being sealed."""
 
     __slots__ = (
-        "index", "string", "next_string", "deadline", "active",
-        "redacted", "order", "checkpoints", "running_digest",
+        "index", "string", "next_string", "deadline", "active_encs",
+        "redacted_encs", "order", "checkpoints", "running_digest",
         "running_user_xor", "chain_bytes", "ruleset_digest",
         "effective_rules", "effective_acks", "closed",
     )
@@ -122,9 +161,9 @@ class OpenChunk:
         self.string = string
         self.next_string = next_string
         self.deadline: int | None = None
-        self.active: list[StatefulReading] = []
-        self.redacted: list[RedactedRecord] = []
-        self.order: list[int] = []
+        self.active_encs: list[bytes] = []
+        self.redacted_encs: list[bytes] = []
+        self.order = bytearray()
         self.checkpoints: list[bytes] = []
         self.running_digest = CHAIN_SEED
         self.running_user_xor = 0
@@ -159,8 +198,9 @@ def seal_append(chunk: OpenChunk, sr: StatefulReading, checkpoint_every: int = D
 
     Active readings enter the auditor chain under their full canonical
     encoding and are kept in cleartext; passive readings enter redacted
-    and their device id is dropped on the spot. Both feed the user-side
-    tag/state chain.
+    and their device id is dropped on the spot. The chunk keeps the
+    encoding it hashed, so nothing is encoded again at close. Both feed
+    the user-side tag/state chain.
     """
     if chunk.closed:
         raise SealingError("chunk already closed")
@@ -168,12 +208,11 @@ def seal_append(chunk: OpenChunk, sr: StatefulReading, checkpoint_every: int = D
     tag = presence_digest(r.device, r.time)
     if sr.state is SensorState.ACTIVE:
         record = encode_reading(sr)
-        chunk.active.append(sr)
-        chunk.order.append(1)
+        chunk.active_encs.append(record)
     else:
         record = encode_redacted(tag, r.sensor, sr.state, r.time)
-        chunk.redacted.append(RedactedRecord(tag, r.sensor, sr.state, r.time))
-        chunk.order.append(0)
+        chunk.redacted_encs.append(record)
+    chunk.order.append(sr.state)
     chunk.running_digest = chain_step(record, chunk.running_digest)
     chunk.chain_bytes += len(record)
     chunk.running_user_xor = user_step(chunk.running_user_xor, tag, sr.state)
@@ -200,9 +239,9 @@ def close_chunk(
     user_fold = chunk.running_user_xor.to_bytes(32, "big")
     return SealedChunk(
         index=chunk.index,
-        active=tuple(chunk.active),
-        redacted=tuple(chunk.redacted),
-        order=tuple(chunk.order),
+        active_encs=tuple(chunk.active_encs),
+        redacted_encs=tuple(chunk.redacted_encs),
+        order=bytes(chunk.order),
         checkpoints=tuple(checkpoints),
         checkpoint_every=checkpoint_every,
         integrity_proof=ChunkProof(chunk.string, signer.sign(proof_payload(

@@ -5,7 +5,9 @@ corrupted and the verifiers must notice. The chunk file format is
 normative (see docs/FORMATS.md): one file per sealed chunk, sectioned
 and length-prefixed with little-endian section headers, magic bytes and
 a format version, so the tamper harness can corrupt it surgically and
-parsers can reject anything non-canonical.
+parsers can reject anything non-canonical. A chunk's record sections
+are the record encodings the sealer already built, joined; parsing
+gives back the same `SealedChunk` the sealer closed.
 
 Bundles implement log minimality: a verifier receives exactly the
 requested chunks plus the neighbor random strings its proofs need
@@ -16,6 +18,7 @@ markers so verifiers flag them instead of silently skipping.
 
 from __future__ import annotations
 
+import functools
 import hmac
 import json
 import os
@@ -25,15 +28,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .codec import Cursor, FormatError, listed
 from .events import (
     RedactedRecord,
     SensorState,
-    StatefulReading,
     decode_reading,
     decode_redacted,
-    encode_reading,
     encode_redacted,
+    presence_digest,
+    record_time,
 )
 from .notices import (
     Acknowledgment,
@@ -42,6 +47,7 @@ from .notices import (
     decode_ack,
     decode_notice,
     encode_ack,
+    encode_envelope,
     encode_notice,
 )
 from .sealing import ChunkProof, SealedChunk
@@ -87,24 +93,13 @@ def checkpoint_positions(n: int, every: int) -> list[int]:
     return positions
 
 
-def _pack_order(order: Iterable[int]) -> bytes:
-    bits = list(order)
-    out = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
-        if bit:
-            out[i // 8] |= 0x80 >> (i % 8)
-    return bytes(out)
-
-
-def _unpack_order(data: bytes, n: int) -> list[int]:
+def _unpack_order(data: bytes, n: int) -> bytes:
     c = Cursor(data)
-    packed = c.take((n + 7) // 8)
+    bits = np.unpackbits(np.frombuffer(c.take((n + 7) // 8), np.uint8))
     c.done("order section")
-    bits = [(packed[i // 8] >> (7 - i % 8)) & 1 for i in range(n)]
-    tail = n % 8
-    if tail and packed[-1] & ((1 << (8 - tail)) - 1):
+    if bits[n:].any():
         raise FormatError("order section has nonzero padding bits")
-    return bits
+    return bits[:n].tobytes()
 
 
 def _proof_bytes(proof: ChunkProof) -> bytes:
@@ -126,36 +121,25 @@ def _parse_proof(data: bytes) -> ChunkProof:
     return proof
 
 
-def serialize_sections(index: int, sections: dict[int, tuple[bytes, int]]) -> bytes:
-    """Assemble a chunk file from raw section payloads (id -> (bytes, count))."""
-    header = _HEADER.pack(CHUNK_MAGIC, FORMAT_VERSION, index, len(_SECTION_IDS))
-    offset = _HEADER.size + _TABLE_ENTRY.size * len(_SECTION_IDS)
-    table = bytearray()
-    body = bytearray()
-    for sec_id in _SECTION_IDS:
-        data, count = sections[sec_id]
-        table += _TABLE_ENTRY.pack(sec_id, offset, len(data), count)
-        body += data
-        offset += len(data)
-    return header + bytes(table) + bytes(body)
-
-
-def serialize_chunk(sc: SealedChunk | ParsedChunk) -> bytes:
-    active = b"".join(encode_reading(sr) for sr in sc.active)
-    redacted = b"".join(
-        encode_redacted(r.tag, r.sensor, r.state, r.time) for r in sc.redacted
-    )
+def serialize_chunk(sc: SealedChunk) -> bytes:
+    """The chunk file: header, section table, then the sections in id order."""
     checkpoints = sc.checkpoint_every.to_bytes(4, "little") + b"".join(sc.checkpoints)
-    sections = {
-        SEC_ACTIVE: (active, len(sc.active)),
-        SEC_REDACTED: (redacted, len(sc.redacted)),
-        SEC_ORDER: (_pack_order(sc.order), len(sc.order)),
-        SEC_CHECKPOINTS: (checkpoints, len(sc.checkpoints)),
-        SEC_INTEGRITY_PROOF: (_proof_bytes(sc.integrity_proof), 1),
-        SEC_USER_PROOF: (_proof_bytes(sc.user_proof), 1),
-        SEC_RULESET: (sc.ruleset_digest, 1),
-    }
-    return serialize_sections(sc.index, sections)
+    sections = (
+        (SEC_ACTIVE, b"".join(sc.active_encs), len(sc.active_encs)),
+        (SEC_REDACTED, b"".join(sc.redacted_encs), len(sc.redacted_encs)),
+        (SEC_ORDER, np.packbits(np.frombuffer(sc.order, np.uint8)).tobytes(), len(sc.order)),
+        (SEC_CHECKPOINTS, checkpoints, len(sc.checkpoints)),
+        (SEC_INTEGRITY_PROOF, _proof_bytes(sc.integrity_proof), 1),
+        (SEC_USER_PROOF, _proof_bytes(sc.user_proof), 1),
+        (SEC_RULESET, sc.ruleset_digest, 1),
+    )
+    out = [_HEADER.pack(CHUNK_MAGIC, FORMAT_VERSION, sc.index, len(sections))]
+    offset = _HEADER.size + _TABLE_ENTRY.size * len(sections)
+    for sec_id, data, count in sections:
+        out.append(_TABLE_ENTRY.pack(sec_id, offset, len(data), count))
+        offset += len(data)
+    out.extend(data for _, data, _ in sections)
+    return b"".join(out)
 
 
 def read_sections(blob: bytes) -> tuple[int, dict[int, tuple[bytes, int]]]:
@@ -180,46 +164,6 @@ def read_sections(blob: bytes) -> tuple[int, dict[int, tuple[bytes, int]]]:
     return index, sections
 
 
-@dataclass
-class ParsedChunk:
-    """A strictly parsed chunk file, ready for re-folding."""
-
-    index: int
-    active: list[StatefulReading]
-    active_encs: list[bytes]
-    redacted: list[RedactedRecord]
-    redacted_encs: list[bytes]
-    order: list[int]
-    checkpoints: list[bytes]
-    checkpoint_every: int
-    integrity_proof: ChunkProof
-    user_proof: ChunkProof
-    ruleset_digest: bytes
-
-    @property
-    def n_readings(self) -> int:
-        return len(self.order)
-
-    def slots(self) -> Iterator[tuple[int, int]]:
-        """Records in sealing order as (is_active, index within its section)."""
-        ai = ri = 0
-        for bit in self.order:
-            if bit:
-                yield 1, ai
-                ai += 1
-            else:
-                yield 0, ri
-                ri += 1
-
-    def merged(self) -> Iterator[tuple[int, bytes, int]]:
-        """Records in sealing order as (is_active, chain encoding, time)."""
-        for bit, i in self.slots():
-            if bit:
-                yield 1, self.active_encs[i], self.active[i].reading.time
-            else:
-                yield 0, self.redacted_encs[i], self.redacted[i].time
-
-
 def _record_section(section: str, data: bytes, count: int, decode,
                     state: SensorState) -> tuple[list, list[bytes]]:
     """A record section's `count` records, all in `state`, and their encodings."""
@@ -239,12 +183,13 @@ def _record_section(section: str, data: bytes, count: int, decode,
     return records, encs
 
 
-def parse_chunk(blob: bytes) -> ParsedChunk:
+def parse_chunk(blob: bytes) -> SealedChunk:
     """Strict parse: any non-canonical byte is a format error.
 
     Strictness is load-bearing: semantically dead bytes (padding,
     section slack) would otherwise be mutable without flipping any
-    verifier's verdict.
+    verifier's verdict. Every record is decoded here to check it, and
+    the decoded records become the chunk's `active` / `redacted` views.
     """
     index, sections = read_sections(blob)
 
@@ -259,7 +204,7 @@ def parse_chunk(blob: bytes) -> ParsedChunk:
     if n != n_active + n_passive or n == 0:
         raise FormatError("order count disagrees with record counts")
     order = _unpack_order(order_data, n)
-    if sum(order) != n_active:
+    if order.count(1) != n_active:
         raise FormatError("order bits disagree with record counts")
 
     cp_data, n_cp = sections[SEC_CHECKPOINTS]
@@ -284,19 +229,13 @@ def parse_chunk(blob: bytes) -> ParsedChunk:
     digest = c.take(32)
     c.done("ruleset digest section")
 
-    return ParsedChunk(
-        index=index,
-        active=active,
-        active_encs=active_encs,
-        redacted=redacted,
-        redacted_encs=redacted_encs,
-        order=order,
-        checkpoints=checkpoints,
-        checkpoint_every=every,
-        integrity_proof=integrity_proof,
-        user_proof=user_proof,
-        ruleset_digest=digest,
+    chunk = SealedChunk(
+        index=index, active_encs=tuple(active_encs), redacted_encs=tuple(redacted_encs),
+        order=order, checkpoints=tuple(checkpoints), checkpoint_every=every,
+        integrity_proof=integrity_proof, user_proof=user_proof, ruleset_digest=digest,
     )
+    vars(chunk).update(active=tuple(active), redacted=tuple(redacted))  # the views, decoded above
+    return chunk
 
 
 # --- verifier bundles -------------------------------------------------------
@@ -362,15 +301,13 @@ class PresharedKeyAuth(Authenticator):
         return credential is not None and hmac.compare_digest(self._key, credential)
 
 
-def derive_user_records(parsed: ParsedChunk) -> tuple[RedactedRecord, ...]:
+def derive_user_records(parsed: SealedChunk) -> tuple[RedactedRecord, ...]:
     """Per-reading (tag, sensor, state, time) view, device ids stripped.
 
     Tags for active readings are recomputed from the stored cleartext;
     the user proof was signed over the seal-time values, so recomputing
     from tampered cleartext cannot go unnoticed.
     """
-    from .events import presence_digest
-
     records = []
     for bit, i in parsed.slots():
         if bit:
@@ -405,6 +342,17 @@ def _read_records(path: Path) -> Iterator[bytes]:
         yield c.take(c.unpack(_U32)[0])
 
 
+def _reads_manifest(method):
+    """The manifest is untrusted JSON: a field it lacks or mistypes is a `FormatError`."""
+    @functools.wraps(method)
+    def read(self, *args):
+        try:
+            return method(self, *args)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"malformed manifest: {e!r}") from None
+    return read
+
+
 class ChunkStore:
     """Single-writer, many-reader on-disk store rooted at one directory.
 
@@ -420,7 +368,10 @@ class ChunkStore:
         self._defer_manifest = False
         self._manifest: dict | None = None
         if self.manifest_path.exists():
-            self._manifest = json.loads(self.manifest_path.read_text())
+            try:
+                self._manifest = json.loads(self.manifest_path.read_text())
+            except ValueError as e:
+                raise FormatError(f"manifest.json does not decode: {e}") from None
 
     @property
     def manifest_path(self) -> Path:
@@ -466,23 +417,26 @@ class ChunkStore:
     def put_sealed_chunk(self, sc: SealedChunk) -> dict:
         return self.put_chunk(f"chunks/{sc.index:08d}.ssc", sc)
 
-    def put_chunk(self, name: str, chunk: SealedChunk | ParsedChunk) -> dict:
+    def put_chunk(self, name: str, chunk: SealedChunk) -> dict:
         """Serialize a chunk into file `name` and record its manifest entry."""
         blob = serialize_chunk(chunk)
         _atomic_write(self.root / name, blob)
-        times = [sr.reading.time for sr in chunk.active] + [r.time for r in chunk.redacted]
-        _, sections = read_sections(blob)
+        # the section table just framed: (id, offset, length, count) per section
+        table = _TABLE_ENTRY.iter_unpack(
+            blob[_HEADER.size:_HEADER.size + _TABLE_ENTRY.size * len(_SECTION_IDS)])
+        first = (chunk.active_encs if chunk.order[0] else chunk.redacted_encs)[0]
+        last = (chunk.active_encs if chunk.order[-1] else chunk.redacted_encs)[-1]
         entry = {
             "file": name,
             "string": chunk.integrity_proof.string.hex(),
             "n": chunk.n_readings,
-            "n_active": len(chunk.active),
-            "n_passive": len(chunk.redacted),
+            "n_active": len(chunk.active_encs),
+            "n_passive": len(chunk.redacted_encs),
             "bytes": len(blob),
             "ruleset_digest": chunk.ruleset_digest.hex(),
-            "first_t": min(times),
-            "last_t": max(times),
-            "sections": {str(sid): [len(data), count] for sid, (data, count) in sections.items()},
+            "first_t": record_time(first),
+            "last_t": record_time(last),
+            "sections": {str(sid): [length, count] for sid, _, length, count in table},
         }
         self.manifest["chunks"][str(chunk.index)] = entry
         self._save_manifest()
@@ -494,9 +448,11 @@ class ChunkStore:
 
     # --- chunk reads ---
 
+    @_reads_manifest
     def indices(self) -> list[int]:
         return sorted(int(k) for k in self.manifest["chunks"])
 
+    @_reads_manifest
     def chunk_raw(self, index: int) -> bytes | None:
         entry = self.manifest["chunks"].get(str(index))
         if entry is None:
@@ -533,26 +489,20 @@ class ChunkStore:
 
     def put_rule_envelope(self, envelope: NoticeEnvelope) -> None:
         """Persist the sealer's encrypted rule batch (ciphertext only)."""
-        from .notices import encode_envelope
-
         path = self.root / "rules"
         path.mkdir(exist_ok=True)
         _atomic_write(path / f"{envelope.rules_digest.hex()}.env", encode_envelope(envelope))
 
     # --- bundles ---
 
+    @_reads_manifest
     def _strings_for(self, first: int, last: int) -> BundleStrings:
-        chunks = self.manifest["chunks"]
-        present = sorted(int(k) for k in chunks)
-        by_index = {
-            i: bytes.fromhex(chunks[str(i)]["string"])
-            for i in range(first - 1, last + 2)
-            if str(i) in chunks
-        }
+        present = self.indices()
+        strings = ((i, self.chunk_string(i)) for i in range(first - 1, last + 2))
         return BundleStrings(
             seed=self.seed_string(),
             terminal=self.terminal(),
-            by_index=by_index,
+            by_index={i: string for i, string in strings if string is not None},
             log_first=present[0] if present else None,
             log_last=present[-1] if present else None,
         )

@@ -1,6 +1,7 @@
 """End-to-end CLI flows through main(): every subcommand, config file,
 environment variable, exit codes."""
 
+import json
 import os
 
 import pytest
@@ -104,6 +105,33 @@ def test_unreadable_bundle_path_exits_2(workdir, capsys, command):
         assert "not a user bundle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify-user", "ack"])
+def test_bad_device_hex_exits_2(workdir, capsys, command):
+    bootstrap(workdir)
+    capsys.readouterr()
+    assert run_cli(command, "--keys", "keys", "--store", "store", "--device", "zz") == 2
+    assert capsys.readouterr().err.startswith("error: bad device id 'zz'")
+
+
+def _drop_string(manifest: str) -> str:
+    data = json.loads(manifest)
+    del data["chunks"]["1"]["string"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda manifest: '{"format":1,',   # cut off: not JSON
+    _drop_string,                      # a chunk entry without its string
+], ids=["truncated", "no-string"])
+def test_corrupt_manifest_exits_2(workdir, capsys, corrupt):
+    bootstrap(workdir)
+    path = workdir / "store" / "manifest.json"
+    path.write_text(corrupt(path.read_text()))
+    capsys.readouterr()
+    assert run_cli("verify-auditor", "--keys", "keys", "--store", "store") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_user_bundle_wrong_psk_refused(workdir, capsys):
     bootstrap(workdir)
     rc = run_cli("export-bundle", "--store", "store", "--kind", "user",
@@ -164,7 +192,9 @@ def test_pipeline_reproducible_store(workdir, capsys):
         out = capsys.readouterr().out
         return next(line for line in out.splitlines() if line.startswith("payload_digest="))
 
-    assert digest_of("a") == digest_of("b")
+    # the chunk bytes are pinned: a change to them is a format change
+    pinned = "payload_digest=43d512c7d4c999f8bb40bc4b0d5a3a0dd73140e41b7c89d909d06191daa9d3b7"
+    assert digest_of("a") == digest_of("b") == pinned
 
 
 def test_pipeline_nam_model(workdir, capsys):

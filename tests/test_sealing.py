@@ -76,7 +76,7 @@ def test_three_reading_chain_matches_oracle():
     assert chunk.running_digest.hex() == FIXED_H3
     first = FIXED[0].reading
     assert presence_digest(first.device, first.time).hex() == FIXED_O1
-    assert chunk.redacted[0].tag.hex() == FIXED_O3
+    assert chunk.redacted_encs[0][:32].hex() == FIXED_O3  # a redacted record starts with its tag
     assert chunk.running_user_xor.to_bytes(32, "big").hex() == FIXED_USER_FOLD
 
 
@@ -85,15 +85,16 @@ def test_same_device_distinct_times_distinct_tags():
     seal_append(chunk, FIXED[0])
     seal_append(chunk, FIXED[2])  # same device, later time
     first = FIXED[0].reading
-    assert presence_digest(first.device, first.time) != chunk.redacted[0].tag
+    assert presence_digest(first.device, first.time) != chunk.redacted_encs[0][:32]
 
 
 def test_passive_reading_never_in_cleartext():
     chunk = OpenChunk(1, G[1], G[2])
     for reading in FIXED:
         seal_append(chunk, reading)
-    assert len(chunk.active) == 2 and len(chunk.redacted) == 1
-    assert all(s.state is SensorState.ACTIVE for s in chunk.active)
+    assert len(chunk.active_encs) == 2 and len(chunk.redacted_encs) == 1
+    assert all(enc[-9] == SensorState.ACTIVE for enc in chunk.active_encs)
+    assert FIXED[2].reading.device.id not in chunk.redacted_encs[0]
 
 
 def test_close_chunk_mask_and_proofs():

@@ -1,15 +1,33 @@
 """Chunk file format, manifest bookkeeping, bundles, and authentication."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALLOW_ALL, PSK, mixed_rules, sealed_run
-from sensorseal import read_bundle_file, write_bundle_file
-from sensorseal.events import SensorState, presence_digest
+from sensorseal import (
+    ChunkStore,
+    DeviceId,
+    KeyPair,
+    Role,
+    SensorId,
+    SensorReading,
+    StatefulReading,
+    TamperAction,
+    TamperKind,
+    apply_tamper,
+    read_bundle_file,
+    write_bundle_file,
+)
+from sensorseal.events import MAX_ID_LEN, MAX_TIMESTAMP, SensorState, presence_digest
+from sensorseal.sealing import OpenChunk, close_chunk, seal_append
 from sensorseal.store import (
     AuthError,
+    SEC_ORDER,
     AuditorEntry,
     ChunkFormatError,
-    ChunkStore,
     StoreError,
     checkpoint_positions,
     derive_user_records,
@@ -27,28 +45,6 @@ def run(tmp_path, actors):
 
 # --- chunk file format ---------------------------------------------------------
 
-def test_chunk_round_trip_bit_exact(run, actors):
-    store, _, _ = run
-    for i in store.indices():
-        blob = store.chunk_raw(i)
-        parsed = parse_chunk(blob)
-        # re-serializing the parse reproduces the file byte for byte
-        from sensorseal.sealing import SealedChunk
-
-        rebuilt = serialize_chunk(SealedChunk(
-            index=parsed.index,
-            active=tuple(parsed.active),
-            redacted=tuple(parsed.redacted),
-            order=tuple(parsed.order),
-            checkpoints=tuple(parsed.checkpoints),
-            checkpoint_every=parsed.checkpoint_every,
-            integrity_proof=parsed.integrity_proof,
-            user_proof=parsed.user_proof,
-            ruleset_digest=parsed.ruleset_digest,
-        ))
-        assert rebuilt == blob
-
-
 def test_parse_then_serialize_is_identity(tmp_path, actors):
     store, _, sealed = sealed_run(tmp_path, actors, n_readings=60, ruleset=mixed_rules(actors))
     assert {sr.state for sr in sealed} == {SensorState.ACTIVE, SensorState.PASSIVE}
@@ -57,16 +53,79 @@ def test_parse_then_serialize_is_identity(tmp_path, actors):
         assert serialize_chunk(parse_chunk(blob)) == blob
 
 
+_SIGNER = KeyPair.generate(Role.ENCLAVE)
+_IDS = st.binary(min_size=1, max_size=MAX_ID_LEN)
+
+
+def reference_order_section(order) -> bytes:
+    """The ORDER section bit by bit, as docs/FORMATS.md lays it out."""
+    out = bytearray((len(order) + 7) // 8)
+    for i, bit in enumerate(order):
+        if bit:
+            out[i // 8] |= 0x80 >> (i % 8)
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    readings=st.lists(st.tuples(_IDS, _IDS, st.sampled_from(SensorState),
+                                st.integers(1, MAX_TIMESTAMP)), min_size=1, max_size=300),
+    every=st.integers(1, 64),
+    index=st.integers(1, 2**63),
+    strings=st.lists(st.binary(min_size=32, max_size=32), min_size=3, max_size=3),
+)
+def test_sealed_chunk_round_trips(readings, every, index, strings):
+    chunk = OpenChunk(index, strings[1], strings[2])
+    for device, sensor, state, t in readings:
+        seal_append(chunk, StatefulReading(
+            SensorReading(DeviceId(device), SensorId(sensor), t), state), every)
+    sealed = close_chunk(chunk, strings[0], _SIGNER, every)
+    blob = serialize_chunk(sealed)
+    assert read_sections(blob)[1][SEC_ORDER][0] == reference_order_section(
+        [state is SensorState.ACTIVE for _, _, state, _ in readings])
+    parsed = parse_chunk(blob)
+    assert parsed == sealed
+    assert [t for _, _, t in parsed.merged()] == [t for *_, t in readings]
+    # the views parse_chunk fills match the ones decoded on demand
+    assert parsed.active == sealed.active and parsed.redacted == sealed.redacted
+
+
+def assert_manifest_matches_chunks(store):
+    for i in store.indices():
+        entry = store.manifest["chunks"][str(i)]
+        blob = store.chunk_raw(i)
+        parsed = parse_chunk(blob)
+        times = [t for _, _, t in parsed.merged()]
+        _, sections = read_sections(blob)
+        assert entry["n"] == parsed.n_readings
+        assert entry["n_active"] == len(parsed.active)
+        assert entry["n_passive"] == len(parsed.redacted)
+        assert entry["bytes"] == len(blob)
+        assert (entry["first_t"], entry["last_t"]) == (min(times), max(times))
+        assert entry["sections"] == {
+            str(sid): [len(data), count] for sid, (data, count) in sections.items()}
+
+
 def test_manifest_counts_match_sections(run):
     store, _, sealed = run
     total = sum(store.manifest["chunks"][str(i)]["n"] for i in store.indices())
     assert total == len(sealed)
-    for i in store.indices():
-        entry = store.manifest["chunks"][str(i)]
-        parsed = parse_chunk(store.chunk_raw(i))
-        assert entry["n_active"] == len(parsed.active)
-        assert entry["n_passive"] == len(parsed.redacted)
-        assert entry["bytes"] == len(store.chunk_raw(i))
+    assert_manifest_matches_chunks(store)
+
+
+@pytest.mark.parametrize("kind, delta", [
+    (TamperKind.INSERT_READING, 1),
+    (TamperKind.DELETE_READING, -1),
+])
+def test_manifest_counts_match_sections_after_tamper(tmp_path, actors, kind, delta):
+    # one checkpoint per chunk, so the edited chunk still parses
+    store, _, sealed = sealed_run(tmp_path, actors, n_readings=40, ruleset=mixed_rules(actors),
+                                  checkpoint_every=256)
+    apply_tamper(store.root, TamperAction(kind, chunk=2), random.Random(5))
+    store = ChunkStore(store.root)
+    total = sum(store.manifest["chunks"][str(i)]["n"] for i in store.indices())
+    assert total == len(sealed) + delta
+    assert_manifest_matches_chunks(store)
 
 
 def test_checkpoint_positions():
