@@ -86,19 +86,18 @@ def user_streaming_seconds(
 ) -> float:
     """Single-threaded user verification through a streamed bundle file.
 
-    The bundle is written to disk and re-read entry by entry, so peak
-    memory stays flat in the number of chunks (the constrained-user
-    profile).
+    The bundle is written to disk (to `bundle_path`, or to a temporary
+    file removed afterwards) and re-read entry by entry, so peak memory
+    stays flat in the number of chunks (the constrained-user profile).
     """
     bundle = store.get_user_bundle(first, last, credential)
-    if bundle_path is None:
-        with tempfile.NamedTemporaryFile(suffix=".ssb", delete=False) as f:
-            bundle_path = f.name
-    write_bundle_file(bundle_path, bundle)
-    streamed = read_bundle_file(bundle_path)
-    started = time.perf_counter()
-    results, summary = verify_user_range(streamed, device, enclave_pub)
-    elapsed = time.perf_counter() - started
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "user.ssb" if bundle_path is None else bundle_path
+        write_bundle_file(path, bundle)
+        streamed = read_bundle_file(path)
+        started = time.perf_counter()
+        results, summary = verify_user_range(streamed, device, enclave_pub)
+        elapsed = time.perf_counter() - started
     bad = [v for v, _ in results if not v.ok]
     if bad:
         raise BenchError(f"benchmark store does not verify: {bad[0]}")

@@ -20,7 +20,6 @@ from .crypto import sha256
 MAX_ID_LEN = 64
 MAX_TIMESTAMP = 2**64 - 1
 
-_STATE_TIME = Struct(">BQ")
 _TIME = Struct(">Q")
 
 
@@ -49,6 +48,8 @@ class SensorState(IntEnum):
 
 
 _STATES = {s.value: s for s in SensorState}
+_STATE_BYTES = tuple(s.byte for s in SensorState)
+_NO_TIME = bytes(8)
 
 
 @dataclass(frozen=True)
@@ -117,12 +118,11 @@ def encode_reading(sr: StatefulReading) -> bytes:
 
 
 def decode_reading(c: Cursor) -> StatefulReading:
-    """Inverse of `encode_reading`: the reading at the cursor."""
-    device = c.lp()
-    sensor = c.lp()
-    state, t = c.unpack(_STATE_TIME)
-    reading = SensorReading(DeviceId(device), SensorId(sensor), t)
-    return StatefulReading(reading, listed(_STATES, state, "state"))
+    """Inverse of `encode_reading`: the reading at the cursor, as objects."""
+    (enc,) = walk_records(c, 1, tagged=False)
+    k = 2 + (enc[0] << 8 | enc[1])
+    reading = SensorReading(DeviceId(enc[2:k]), SensorId(enc[k + 2:-9]), record_time(enc))
+    return StatefulReading(reading, _STATES[enc[-9]])
 
 
 def record_time(enc: bytes) -> int:
@@ -152,12 +152,17 @@ def presence_digest(device: DeviceId, t: int) -> bytes:
     reveal neither identities nor per-device frequencies; the device's
     owner can still recognize their own entries.
     """
-    return sha256(lp(device.id) + encode_time(t))
+    return presence_tag(lp(device.id), encode_time(t))
 
 
-def state_digest(presence_tag: bytes, state: SensorState) -> bytes:
+def presence_tag(lp_device: bytes, t8: bytes) -> bytes:
+    """`presence_digest` over its two fields as already encoded."""
+    return sha256(lp_device + t8)
+
+
+def state_digest(presence_tag: bytes, state: int) -> bytes:
     """Binds a presence tag to the retention state: SHA-256(tag || state)."""
-    return sha256(presence_tag + state.byte)
+    return sha256(presence_tag + _STATE_BYTES[state])
 
 
 def encode_redacted(presence_tag: bytes, sensor: SensorId, state: SensorState, t: int) -> bytes:
@@ -174,8 +179,66 @@ def encode_redacted(presence_tag: bytes, sensor: SensorId, state: SensorState, t
 
 
 def decode_redacted(c: Cursor) -> RedactedRecord:
-    """Inverse of `encode_redacted`: the record at the cursor."""
-    tag = c.take(32)
-    sensor = c.lp()
-    state, t = c.unpack(_STATE_TIME)
-    return RedactedRecord(tag, SensorId(sensor), listed(_STATES, state, "state"), t)
+    """Inverse of `encode_redacted`: the record at the cursor, as objects."""
+    (enc,) = walk_records(c, 1, tagged=True)
+    return RedactedRecord(enc[:32], SensorId(enc[34:-9]), _STATES[enc[-9]], record_time(enc))
+
+
+def redact(full: bytes) -> bytes:
+    """The redacted encoding of a checked full encoding: its presence tag,
+    then its bytes from LP(sensor) on, as `encode_redacted` lays them out."""
+    k = 2 + (full[0] << 8 | full[1])
+    return presence_tag(full[:k], full[-8:]) + full[k:]
+
+
+def walk_records(c: Cursor, count: int, tagged: bool, state: SensorState | None = None) -> list[bytes]:
+    """The encodings of the `count` records at the cursor, checked and kept as bytes.
+
+    The one reader of the record grammar: full records (`tagged` false)
+    are LP(device) || LP(sensor) || state || t8 with a positive time,
+    redacted ones tag(32) || LP(sensor) || state || t8. Every length
+    prefix must fit and every id be 1..MAX_ID_LEN bytes; the state byte
+    must be listed, and equal `state` when one is given. An error names
+    the 1-based record in `FormatError.record`.
+    """
+    buf, pos, end = c.buf, c.pos, c.end
+    allowed = _STATES if state is None else {state.value: state}
+    encs = []
+    append = encs.append
+    try:
+        for i in range(1, count + 1):
+            start = pos
+            if tagged:
+                pos += 32
+                if pos > end:
+                    raise FormatError(f"32 bytes needed at offset {start}, {end - start} left")
+            else:
+                pos = _lp_end(buf, pos, end)
+            head = pos
+            pos = _lp_end(buf, pos, end) + 9
+            if pos > end:
+                raise FormatError(f"9 bytes needed at offset {pos - 9}, {end - pos + 9} left")
+            if not tagged and not 1 <= head - start - 2 <= MAX_ID_LEN:
+                raise EncodingError(f"device id must be 1..{MAX_ID_LEN} bytes")
+            if not 1 <= pos - head - 11 <= MAX_ID_LEN:
+                raise EncodingError(f"sensor id must be 1..{MAX_ID_LEN} bytes")
+            if not tagged and buf[pos - 8:pos] == _NO_TIME:
+                raise EncodingError("timestamp must be a positive 64-bit integer")
+            if buf[pos - 9] not in allowed:
+                found = listed(_STATES, buf[pos - 9], "state")
+                raise FormatError(f"{found.name.lower()} state where {state.name.lower()} is required")
+            append(buf[start:pos])
+    except FormatError as e:
+        raise type(e)(f"record {i}: {e}", record=i) from None
+    c.pos = pos
+    return encs
+
+
+def _lp_end(buf: bytes, pos: int, end: int) -> int:
+    """The end of the length-prefixed field at `pos`, checked against `end`."""
+    if pos + 2 > end:
+        raise FormatError(f"length prefix cut off at offset {pos}")
+    field_end = pos + 2 + (buf[pos] << 8 | buf[pos + 1])
+    if field_end > end:
+        raise FormatError(f"length prefix at offset {pos} overruns the end")
+    return field_end

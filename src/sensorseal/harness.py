@@ -279,8 +279,8 @@ def apply_tamper(store_root: str | Path, action: TamperAction, rng: random.Rando
         rogue = KeyPair.generate(Role.ENCLAVE)
         if action.target == "user":
             fold = 0
-            for rec in derive_user_records(parsed):
-                fold = user_step(fold, rec.tag, rec.state)
+            for enc in derive_user_records(parsed):
+                fold = user_step(fold, enc[:32], enc[-9])  # tag(32) ... state || t8
             payload = proof_payload(fold.to_bytes(32, "big"), prev, own, nxt)
             forged = replace(parsed, user_proof=ChunkProof(own, rogue.sign(payload)))
         else:

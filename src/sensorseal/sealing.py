@@ -179,8 +179,9 @@ def chain_step(record: bytes, digest: bytes) -> bytes:
     return sha256(record + digest)
 
 
-def user_step(fold: int, tag: bytes, state: SensorState) -> int:
-    """One term of the user fold: XOR in SHA-256(tag || state), as an integer."""
+def user_step(fold: int, tag: bytes, state: int) -> int:
+    """One term of the user fold: XOR in SHA-256(tag || state), as an integer;
+    `state` is the state byte's value (a `SensorState` or the byte itself)."""
     return fold ^ int.from_bytes(state_digest(tag, state), "big")
 
 

@@ -31,15 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .codec import Cursor, FormatError, listed
-from .events import (
-    RedactedRecord,
-    SensorState,
-    decode_reading,
-    decode_redacted,
-    encode_redacted,
-    presence_digest,
-    record_time,
-)
+from .events import RedactedRecord, SensorState, decode_redacted, record_time, redact, walk_records
 from .notices import (
     Acknowledgment,
     NoticeEnvelope,
@@ -164,23 +156,16 @@ def read_sections(blob: bytes) -> tuple[int, dict[int, tuple[bytes, int]]]:
     return index, sections
 
 
-def _record_section(section: str, data: bytes, count: int, decode,
-                    state: SensorState) -> tuple[list, list[bytes]]:
-    """A record section's `count` records, all in `state`, and their encodings."""
-    records, encs = [], []
+def _record_section(section: str, data: bytes, count: int, tagged: bool,
+                    state: SensorState) -> tuple[bytes, ...]:
+    """The encodings of a record section's `count` records, all in `state`."""
     c = Cursor(data)
     try:
-        for i in range(1, count + 1):
-            start = c.pos
-            rec = decode(c)
-            if rec.state is not state:
-                raise FormatError(f"{rec.state.name.lower()} state in the {section} section")
-            records.append(rec)
-            encs.append(data[start:c.pos])
+        encs = walk_records(c, count, tagged, state)
     except FormatError as e:
-        raise FormatError(f"{section} record {i}: {e}", record=i) from e
+        raise FormatError(f"{section} {e}", e.record) from e
     c.done(f"{section} section")
-    return records, encs
+    return tuple(encs)
 
 
 def parse_chunk(blob: bytes) -> SealedChunk:
@@ -188,17 +173,15 @@ def parse_chunk(blob: bytes) -> SealedChunk:
 
     Strictness is load-bearing: semantically dead bytes (padding,
     section slack) would otherwise be mutable without flipping any
-    verifier's verdict. Every record is decoded here to check it, and
-    the decoded records become the chunk's `active` / `redacted` views.
+    verifier's verdict. Every record is checked here by one walk over
+    its section's bytes, which the chunk then holds as they are.
     """
     index, sections = read_sections(blob)
 
     active_data, n_active = sections[SEC_ACTIVE]
     red_data, n_passive = sections[SEC_REDACTED]
-    active, active_encs = _record_section(
-        "active", active_data, n_active, decode_reading, SensorState.ACTIVE)
-    redacted, redacted_encs = _record_section(
-        "redacted", red_data, n_passive, decode_redacted, SensorState.PASSIVE)
+    active_encs = _record_section("active", active_data, n_active, False, SensorState.ACTIVE)
+    redacted_encs = _record_section("redacted", red_data, n_passive, True, SensorState.PASSIVE)
 
     order_data, n = sections[SEC_ORDER]
     if n != n_active + n_passive or n == 0:
@@ -229,13 +212,11 @@ def parse_chunk(blob: bytes) -> SealedChunk:
     digest = c.take(32)
     c.done("ruleset digest section")
 
-    chunk = SealedChunk(
-        index=index, active_encs=tuple(active_encs), redacted_encs=tuple(redacted_encs),
+    return SealedChunk(
+        index=index, active_encs=active_encs, redacted_encs=redacted_encs,
         order=order, checkpoints=tuple(checkpoints), checkpoint_every=every,
         integrity_proof=integrity_proof, user_proof=user_proof, ruleset_digest=digest,
     )
-    vars(chunk).update(active=tuple(active), redacted=tuple(redacted))  # the views, decoded above
-    return chunk
 
 
 # --- verifier bundles -------------------------------------------------------
@@ -270,10 +251,19 @@ class AuditorEntry:
 
 @dataclass(frozen=True)
 class UserEntry:
+    """One chunk as a user sees it: every record's redacted encoding, in
+    sealing order, and the user proof. `records` is a view decoded from them."""
+
     index: int
-    records: tuple[RedactedRecord, ...] | None
+    encs: tuple[bytes, ...] | None
     proof: ChunkProof | None
-    malformed: str | None = None  # why a bundle file's entry failed to decode
+    malformed: str | None = None  # why the chunk or its bundle entry failed to decode
+
+    @functools.cached_property
+    def records(self) -> tuple[RedactedRecord, ...] | None:
+        if self.encs is None:
+            return None
+        return tuple(decode_redacted(Cursor(enc)) for enc in self.encs)
 
 
 @dataclass
@@ -301,24 +291,16 @@ class PresharedKeyAuth(Authenticator):
         return credential is not None and hmac.compare_digest(self._key, credential)
 
 
-def derive_user_records(parsed: SealedChunk) -> tuple[RedactedRecord, ...]:
-    """Per-reading (tag, sensor, state, time) view, device ids stripped.
+def derive_user_records(parsed: SealedChunk) -> tuple[bytes, ...]:
+    """Every record's redacted encoding, in sealing order, device ids stripped.
 
-    Tags for active readings are recomputed from the stored cleartext;
-    the user proof was signed over the seal-time values, so recomputing
-    from tampered cleartext cannot go unnoticed.
+    Passive records are already redacted; an active record's tag is
+    recomputed from its stored cleartext. The user proof was signed over
+    the seal-time values, so recomputing from tampered cleartext cannot
+    go unnoticed.
     """
-    records = []
-    for bit, i in parsed.slots():
-        if bit:
-            sr = parsed.active[i]
-            records.append(RedactedRecord(
-                presence_digest(sr.reading.device, sr.reading.time),
-                sr.reading.sensor, sr.state, sr.reading.time,
-            ))
-        else:
-            records.append(parsed.redacted[i])
-    return tuple(records)
+    active, redacted = iter(parsed.active_encs), iter(parsed.redacted_encs)
+    return tuple(redact(next(active)) if bit else next(redacted) for bit in parsed.order)
 
 
 # --- the store --------------------------------------------------------------
@@ -529,8 +511,8 @@ class ChunkStore:
                 continue
             try:
                 parsed = parse_chunk(raw)
-            except FormatError:
-                entries.append(UserEntry(i, None, None))
+            except FormatError as e:
+                entries.append(UserEntry(i, None, None, malformed=f"malformed chunk file: {e}"))
                 continue
             entries.append(UserEntry(i, derive_user_records(parsed), parsed.user_proof))
         return Bundle("user", first, last, self._strings_for(first, last),
@@ -547,20 +529,17 @@ _U64 = struct.Struct("<Q")
 
 
 def _encode_user_entry(entry: UserEntry) -> bytes:
-    out = [len(entry.records).to_bytes(4, "little")]
-    for rec in entry.records:
-        out.append(encode_redacted(rec.tag, rec.sensor, rec.state, rec.time))
-    out.append(_proof_bytes(entry.proof))
-    return b"".join(out)
+    n = len(entry.encs).to_bytes(4, "little")
+    return b"".join((n, *entry.encs, _proof_bytes(entry.proof)))
 
 
 def _decode_user_entry(index: int, payload: bytes) -> UserEntry:
     c = Cursor(payload)
     (n,) = c.unpack(_U32)
-    records = tuple(decode_redacted(c) for _ in range(n))
+    encs = tuple(walk_records(c, n, tagged=True))
     proof = _read_proof(c)
     c.done("user entry")
-    return UserEntry(index, records, proof)
+    return UserEntry(index, encs, proof)
 
 
 def write_bundle_file(path: str | Path, bundle: Bundle) -> None:
@@ -597,7 +576,7 @@ def write_bundle_file(path: str | Path, bundle: Bundle) -> None:
             if bundle.kind == "auditor":
                 payload = entry.raw
             else:
-                payload = _encode_user_entry(entry) if entry.records is not None else None
+                payload = _encode_user_entry(entry) if entry.encs is not None else None
             status = 1 if payload is not None else 0
             f.write(entry.index.to_bytes(8, "little") + bytes([status]))
             if payload is not None:
@@ -659,7 +638,7 @@ def read_bundle_file(path: str | Path) -> Bundle:
                     try:
                         entry = _decode_user_entry(idx, payload)
                     except FormatError as e:
-                        entry = UserEntry(idx, None, None, malformed=str(e))
+                        entry = UserEntry(idx, None, None, malformed=f"malformed bundle entry: {e}")
                     yield entry
             if left:
                 raise FormatError(f"bundle file has {left} trailing bytes")

@@ -25,9 +25,9 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import FormatError
+from .codec import Cursor, FormatError
 from .crypto import PublicKeys, verify
-from .events import DeviceId, SensorId, SensorState, presence_digest
+from .events import DeviceId, SensorId, SensorState, decode_redacted, lp, presence_tag
 from .notices import NoticeMessage, verify_notice
 from .rules import EMPTY_RULESET_DIGEST
 from .sealing import CHAIN_SEED, chain_step, proof_payload, user_step
@@ -153,16 +153,19 @@ def verify_user_chunk(
     """
     x = entry.index
     if entry.malformed is not None:
-        verdict = Verdict(Outcome.TAMPERED, x, f"malformed bundle entry: {entry.malformed}")
-        return verdict, PresenceReport(x)
-    if entry.records is None or entry.proof is None:
+        return Verdict(Outcome.TAMPERED, x, entry.malformed), PresenceReport(x)
+    if entry.encs is None or entry.proof is None:
         return Verdict(Outcome.MISSING, x, "chunk absent from store"), PresenceReport(x)
 
+    # each encoding is tag(32) || LP(sensor) || state || t8
     fold = 0
     mine = []
-    for rec in entry.records:
-        fold = user_step(fold, rec.tag, rec.state)
-        if presence_digest(device, rec.time) == rec.tag:
+    lp_device = lp(device.id)
+    for enc in entry.encs:
+        tag = enc[:32]
+        fold = user_step(fold, tag, enc[-9])
+        if presence_tag(lp_device, enc[-8:]) == tag:
+            rec = decode_redacted(Cursor(enc))
             mine.append(PresenceEntry(rec.time, rec.sensor, rec.state))
     report = PresenceReport(x, tuple(mine))
 
@@ -193,17 +196,39 @@ def _summary(verdicts: list[Verdict], seconds: float) -> dict:
 
 
 def _check_entries(bundle: Bundle, check, broken) -> list:
-    """`check` each entry as the bundle streams it. A framing error ends the
-    stream with one Tampered verdict, passed through `broken`, at the index
-    after the last entry read."""
+    """`check` each entry as the bundle streams it; the entries must be
+    exactly `bundle.first..bundle.last`, each once and in order.
+
+    Everything else is a Tampered verdict, passed through `broken`: an
+    entry outside the range, repeated or out of order at its own index,
+    a run of absent entries at the run's first index. A framing error
+    ends the stream with one Tampered verdict at the next index expected.
+    """
     results = []
-    index = bundle.first
+    expected = bundle.first
+
+    def tampered(index: int, detail: str) -> None:
+        results.append(broken(Verdict(Outcome.TAMPERED, index, detail)))
+
+    def absent_before(index: int) -> None:
+        if expected < index:
+            tampered(expected, f"entries {expected}..{index - 1} absent from the bundle")
+
     try:
         for entry in bundle.entries:
-            results.append(check(entry))
-            index = entry.index + 1
+            x = entry.index
+            if not bundle.first <= x <= bundle.last:
+                tampered(x, f"entry outside the bundle's range {bundle.first}..{bundle.last}")
+            elif x < expected:
+                tampered(x, "entry repeated or out of order in the bundle")
+            else:
+                absent_before(x)
+                results.append(check(entry))
+                expected = x + 1
     except FormatError as e:
-        results.append(broken(Verdict(Outcome.TAMPERED, index, f"malformed bundle: {e}")))
+        tampered(expected, f"malformed bundle: {e}")
+        return results
+    absent_before(bundle.last + 1)
     return results
 
 

@@ -333,7 +333,7 @@ def test_criterion_7_oracle_equivalence():
                 SensorState(state))
             seal_append(chunk, chunk_input, 7)
         sealed = close_chunk(chunk, g[0], signer, 7)
-        lib_tags = [rec.tag for rec in derive_user_records(parse_chunk(serialize_chunk(sealed)))]
+        lib_tags = [enc[:32] for enc in derive_user_records(parse_chunk(serialize_chunk(sealed)))]
 
         h, user_fold, tags, eoc_mask, chain_payload, user_payload = oracle_seal(raw, *g)
         same = (

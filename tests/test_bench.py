@@ -1,8 +1,10 @@
 """Benchmark machinery: scaling ratios, fits, CSV."""
 
+import tempfile
+
 import pytest
 
-from conftest import make_actors
+from conftest import PSK, make_actors, sealed_run
 from sensorseal import ChunkPolicy, ChunkStore, Sealer, SensorReading
 from sensorseal.bench import (
     BenchError,
@@ -10,6 +12,7 @@ from sensorseal.bench import (
     auditor_scaling,
     format_table,
     linear_fit,
+    user_streaming_seconds,
     write_csv,
 )
 
@@ -80,3 +83,15 @@ def test_counts_beyond_store_rejected(big_store):
     actors, store = big_store
     with pytest.raises(BenchError):
         auditor_scaling(store, actors.enclave.public, counts=(5000,))
+
+
+def test_user_streaming_leaves_no_bundle_file(tmp_path, monkeypatch):
+    actors = make_actors()
+    store, _, _ = sealed_run(tmp_path / "run", actors, n_readings=40)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    last = store.indices()[-1]
+    assert user_streaming_seconds(store, actors.enclave.public, actors.devices[0],
+                                  1, last, PSK) >= 0
+    assert list(scratch.rglob("*.ssb")) == []

@@ -1,6 +1,7 @@
 """End-to-end CLI flows through main(): every subcommand, config file,
 environment variable, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -156,6 +157,23 @@ def test_verify_user_detects_pu_forgery(workdir):
                    "--device", device, "--psk", "hunter2") == 1
 
 
+def test_verify_user_reports_malformed_chunk_as_tampered(workdir, capsys):
+    """A chunk on disk that does not parse is Tampered for the user, as for
+    the auditor, not Missing."""
+    bootstrap(workdir)
+    device = sorted(os.listdir(workdir / "keys" / "devices"))[0].removesuffix(".key")
+    assert run_cli("tamper", "--store", "store", "--kind", "truncate-chunk",
+                   "--chunk", 2, "--seed", 1) == 0
+    capsys.readouterr()
+    assert run_cli("verify-user", "--keys", "keys", "--store", "store",
+                   "--device", device, "--psk", "hunter2") == 1
+    lines = capsys.readouterr().out.splitlines()
+    chunk2 = next(line for line in lines if line.startswith("chunk=2 "))
+    assert "outcome=Tampered" in chunk2 and "malformed chunk file" in chunk2
+    others = [line for line in lines if line.startswith("chunk=") and line != chunk2]
+    assert others and all("outcome=Intact" in line for line in others)
+
+
 def test_env_var_store_root(workdir, monkeypatch):
     bootstrap(workdir)
     monkeypatch.setenv("SENSORSEAL_STORE", str(workdir / "store"))
@@ -195,6 +213,26 @@ def test_pipeline_reproducible_store(workdir, capsys):
     # the chunk bytes are pinned: a change to them is a format change
     pinned = "payload_digest=43d512c7d4c999f8bb40bc4b0d5a3a0dd73140e41b7c89d909d06191daa9d3b7"
     assert digest_of("a") == digest_of("b") == pinned
+
+
+def test_pipeline_bundles_pinned(workdir, capsys):
+    """The bundle files exported from the seed-21 store are pinned too: a
+    change to their bytes is a format change."""
+    assert run_cli("pipeline", "--seed", "21", "--days", "0.02", "--rate-scale", "0.05",
+                   "--devices", "6", "--sensors", "10", "--buildings", "2",
+                   "--chunk-minutes", "5", "--keys", "k", "--store", "s", "--psk", "hunter2") == 0
+    assert "payload_digest=43d512c7d4c999f8bb40bc4b0d5a3a0dd73140e41b7c89d909d06191daa9d3b7" in (
+        capsys.readouterr().out.splitlines())
+    assert run_cli("export-bundle", "--store", "s", "--kind", "auditor",
+                   "--range", "1..6", "--out", "aud.ssb") == 0
+    assert run_cli("export-bundle", "--store", "s", "--kind", "user",
+                   "--range", "1..6", "--psk", "hunter2", "--out", "usr.ssb") == 0
+    digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+               for name in ("aud.ssb", "usr.ssb")}
+    assert digests == {
+        "aud.ssb": "17f4d924644847c41a9a9e21fff93eabce3bca7791d3791e7829a43042637cbe",
+        "usr.ssb": "1fd30fd5ebee4de32f2e6603f9f96683c171dce672171ca32977d701dc3b89eb",
+    }
 
 
 def test_pipeline_nam_model(workdir, capsys):

@@ -21,7 +21,13 @@ from sensorseal import (
     read_bundle_file,
     write_bundle_file,
 )
-from sensorseal.events import MAX_ID_LEN, MAX_TIMESTAMP, SensorState, presence_digest
+from sensorseal.events import (
+    MAX_ID_LEN,
+    MAX_TIMESTAMP,
+    SensorState,
+    encode_redacted,
+    presence_digest,
+)
 from sensorseal.sealing import OpenChunk, close_chunk, seal_append
 from sensorseal.store import (
     AuthError,
@@ -246,11 +252,9 @@ def test_user_records_match_seal_order_and_tags(run, actors):
     n = parsed.n_readings
     expected = sealed[:n]
     assert len(records) == n
-    for rec, sr in zip(records, expected):
-        assert rec.time == sr.reading.time
-        assert rec.sensor == sr.reading.sensor
-        assert rec.state == sr.state
-        assert rec.tag == presence_digest(sr.reading.device, sr.reading.time)
+    for enc, sr in zip(records, expected):
+        r = sr.reading
+        assert enc == encode_redacted(presence_digest(r.device, r.time), r.sensor, sr.state, r.time)
 
 
 def test_user_bundle_requires_authentication(run):

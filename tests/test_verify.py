@@ -6,6 +6,7 @@ the chunk. Localization is checked against an exhaustive prefix-refold
 oracle that knows the untampered records.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from sensorseal import (
     audit_range,
     verify_user_range,
 )
-from sensorseal.store import parse_chunk
+from sensorseal.store import parse_chunk, read_bundle_file, write_bundle_file
 from sensorseal.verify import audit_chunk, expected_rule_digests, verify_user_chunk
 
 
@@ -312,6 +313,63 @@ def test_user_bundle_from_deleted_chunk_is_missing(tmp_path, actors):
     assert outcomes[2] is Outcome.MISSING
     assert outcomes[1] is Outcome.BAD_PROOF  # neighbor string gone
     assert outcomes[3] is Outcome.BAD_PROOF
+
+
+# --- bundle completeness: entries first..last, each once, in order -----------------
+
+@pytest.fixture(scope="module")
+def many_chunks(tmp_path_factory):
+    actors = make_actors()
+    store, _, _ = sealed_run(tmp_path_factory.mktemp("many"), actors, n_readings=240)
+    assert len(store.indices()) > 8
+    return actors, store
+
+
+def _edit_entries(change):
+    return lambda bundle: dataclasses.replace(bundle, entries=change(list(bundle.entries)))
+
+
+# edit of the served bundle -> (chunks flagged Tampered, in verdict order; chunks left Intact)
+BUNDLE_EDITS = {
+    "dropped": (_edit_entries(lambda es: es[:4] + es[5:]),
+                lambda n: ([5], n - 1)),
+    "tail-dropped": (_edit_entries(lambda es: es[:-2]),
+                     lambda n: ([n - 1], n - 2)),
+    "repeated": (_edit_entries(lambda es: es[:5] + es[4:]),
+                 lambda n: ([5], n)),
+    "swapped": (_edit_entries(lambda es: es[:4] + [es[5], es[4]] + es[6:]),
+                lambda n: ([5, 5], n - 1)),
+    "extra": (_edit_entries(lambda es: es + [dataclasses.replace(es[-1], index=es[-1].index + 1)]),
+              lambda n: ([n + 1], n)),
+    "range-widened": (lambda bundle: dataclasses.replace(bundle, last=2**63),
+                      lambda n: ([n + 1], n)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BUNDLE_EDITS))
+@pytest.mark.parametrize("kind", ["auditor", "user"])
+def test_bundle_entries_cover_the_range_once_in_order(many_chunks, tmp_path, kind, edit):
+    """An entry absent, repeated, out of order or outside first..last is a
+    Tampered verdict at that index, whatever the other entries say; a run of
+    absent entries is one verdict, so a huge claimed range costs nothing."""
+    actors, store = many_chunks
+    n = store.indices()[-1]
+    bundle = (store.get_auditor_bundle(1, n) if kind == "auditor"
+              else store.get_user_bundle(1, n, PSK))
+    change, expect = BUNDLE_EDITS[edit]
+    path = tmp_path / "served.ssb"
+    write_bundle_file(path, change(bundle))
+    served = read_bundle_file(path)
+    if kind == "auditor":
+        verdicts, summary = audit_range(served, actors.enclave.public, actors.notifier.public)
+    else:
+        results, summary = verify_user_range(served, actors.devices[0], actors.enclave.public)
+        verdicts = [v for v, _ in results]
+    flagged, intact = expect(n)
+    bad = [v for v in verdicts if not v.ok]
+    assert [v.chunk_index for v in bad] == flagged
+    assert all(v.outcome is Outcome.TAMPERED for v in bad)
+    assert summary["intact"] == intact and summary["tampered"] == len(flagged)
 
 
 def test_frequency_hiding_bundles_structurally_identical(tmp_path):
