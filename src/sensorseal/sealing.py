@@ -43,6 +43,7 @@ from .crypto import (
     xor_bytes,
 )
 from .events import (
+    _STATE_BYTES,
     DeviceId,
     RedactedRecord,
     SensorReading,
@@ -51,9 +52,9 @@ from .events import (
     decode_reading,
     decode_redacted,
     decode_wire_reading,
-    encode_reading,
-    encode_redacted,
-    presence_digest,
+    encode_time,
+    lp,
+    presence_tag,
     record_time,
     state_digest,
 )
@@ -205,18 +206,22 @@ def seal_append(chunk: OpenChunk, sr: StatefulReading, checkpoint_every: int = D
     """
     if chunk.closed:
         raise SealingError("chunk already closed")
-    r = sr.reading
-    tag = presence_digest(r.device, r.time)
-    if sr.state is SensorState.ACTIVE:
-        record = encode_reading(sr)
+    r, state = sr.reading, sr.state
+    # LP(device) and t8 are built once for the presence tag and the record,
+    # laid out as `presence_digest`, `encode_reading` and `encode_redacted` do
+    lp_device, t8 = lp(r.device.id), encode_time(r.time)
+    tag = presence_tag(lp_device, t8)
+    tail = lp(r.sensor.id) + _STATE_BYTES[state] + t8
+    if state is SensorState.ACTIVE:
+        record = lp_device + tail
         chunk.active_encs.append(record)
     else:
-        record = encode_redacted(tag, r.sensor, sr.state, r.time)
+        record = tag + tail
         chunk.redacted_encs.append(record)
-    chunk.order.append(sr.state)
+    chunk.order.append(state)
     chunk.running_digest = chain_step(record, chunk.running_digest)
     chunk.chain_bytes += len(record)
-    chunk.running_user_xor = user_step(chunk.running_user_xor, tag, sr.state)
+    chunk.running_user_xor = user_step(chunk.running_user_xor, tag, state)
     if len(chunk.order) % checkpoint_every == 0:
         chunk.checkpoints.append(chunk.running_digest)
     return chunk

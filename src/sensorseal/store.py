@@ -339,9 +339,15 @@ class ChunkStore:
     """Single-writer, many-reader on-disk store rooted at one directory.
 
     Writes are atomic (write-then-rename), so readers never observe a
-    partially written chunk or manifest. Long sealing runs should wrap
-    their writes in `bulk()`, which defers the manifest rewrite until
-    the end; chunks stay invisible to readers until the manifest lands.
+    partially written chunk or manifest. The store keeps the manifest
+    text it last wrote: a live chunk close JSON-encodes only its own new
+    entry and splices it in before the closing braces, so the file stays
+    byte-identical to `json.dumps` of the whole manifest while a close
+    costs one copy of that text, not an encode of every entry
+    (BENCH_seal_path.json has the figures). Any other change encodes
+    the whole manifest again. A direct edit of `manifest` must
+    therefore be written with `_save_manifest()` before the next
+    `put_chunk`, which would otherwise splice onto stale text.
     """
 
     def __init__(self, root: str | Path, user_auth: Authenticator | None = None):
@@ -349,6 +355,7 @@ class ChunkStore:
         self.user_auth = user_auth
         self._defer_manifest = False
         self._manifest: dict | None = None
+        self._manifest_text: str | None = None  # what manifest.json holds, when this store wrote it
         if self.manifest_path.exists():
             try:
                 self._manifest = json.loads(self.manifest_path.read_text())
@@ -377,16 +384,32 @@ class ChunkStore:
         }
         self._save_manifest()
 
-    def _save_manifest(self) -> None:
+    def _save_manifest(self, new_key: str | None = None) -> None:
+        """Write the manifest. `new_key` names a chunk entry just added as the
+        last key of `chunks`, itself the manifest's last key: only that
+        entry is encoded, and spliced into the text last written."""
         if self._defer_manifest:
             return
-        # no indent: with one, the json module falls back to its pure-Python encoder
-        _atomic_write(self.manifest_path,
-                      json.dumps(self._manifest, separators=(",", ":")).encode())
+        text, self._manifest_text = self._manifest_text, None
+        if new_key is None or text is None:
+            # no indent: with one, the json module falls back to its pure-Python encoder
+            text = json.dumps(self._manifest, separators=(",", ":"))
+        else:
+            chunks = self._manifest["chunks"]
+            entry = json.dumps(chunks[new_key], separators=(",", ":"))
+            sep = "," if len(chunks) > 1 else ""
+            text = f'{text[:-2]}{sep}"{new_key}":{entry}' + "}}"
+        _atomic_write(self.manifest_path, text.encode())
+        self._manifest_text = text
 
     @contextmanager
     def bulk(self):
-        """Defer manifest rewrites across many chunk writes."""
+        """Defer manifest rewrites across many chunk writes.
+
+        A live close still writes the whole manifest text, so N closes
+        copy O(N^2) bytes; `bulk()` writes it once at the end. Chunks
+        stay invisible to readers until the manifest lands.
+        """
         self._defer_manifest = True
         try:
             yield self
@@ -420,8 +443,10 @@ class ChunkStore:
             "last_t": record_time(last),
             "sections": {str(sid): [length, count] for sid, _, length, count in table},
         }
-        self.manifest["chunks"][str(chunk.index)] = entry
-        self._save_manifest()
+        key, chunks = str(chunk.index), self.manifest["chunks"]
+        appended = key not in chunks and next(reversed(self.manifest)) == "chunks"
+        chunks[key] = entry
+        self._save_manifest(key if appended else None)
         return entry
 
     def set_terminal(self, g: bytes) -> None:

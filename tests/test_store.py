@@ -1,17 +1,24 @@
 """Chunk file format, manifest bookkeeping, bundles, and authentication."""
 
+import json
 import random
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALLOW_ALL, PSK, mixed_rules, sealed_run
+from conftest import ALLOW_ALL, PSK, make_actors, mixed_rules, sealed_run
 from sensorseal import (
+    ChunkPolicy,
     ChunkStore,
     DeviceId,
     KeyPair,
     Role,
+    Sealer,
     SensorId,
     SensorReading,
     StatefulReading,
@@ -28,6 +35,7 @@ from sensorseal.events import (
     encode_redacted,
     presence_digest,
 )
+from sensorseal import store as store_module
 from sensorseal.sealing import OpenChunk, close_chunk, seal_append
 from sensorseal.store import (
     AuthError,
@@ -353,3 +361,142 @@ def test_proof_storage_overhead_linear_in_chunks(tmp_path, actors):
     cumulative = [sum(per_chunk[:k]) for k in range(1, len(per_chunk) + 1)]
     diffs = {b - a for a, b in zip(cumulative, cumulative[1:])}
     assert diffs == {per_chunk[0]}
+
+
+# --- manifest writes -------------------------------------------------------------
+
+_ACTORS = make_actors()
+
+
+def _live_sealer(root):
+    store = ChunkStore(root)
+    sealer = Sealer(_ACTORS.enclave, _ACTORS.notifier.public, _ACTORS.registry, store,
+                    policy=ChunkPolicy(max_window_ms=1_000))
+    return store, sealer
+
+
+def _submit(sealer, i):
+    devices, sensors = _ACTORS.devices, _ACTORS.sensors
+    sealer.submit_reading(SensorReading(
+        devices[i % len(devices)], sensors[i % len(sensors)], 1_000_000 + i * 700))
+
+
+def _one_record_chunk(index, t, rng):
+    chunk = OpenChunk(index, rng.randbytes(32), rng.randbytes(32))
+    seal_append(chunk, StatefulReading(
+        SensorReading(_ACTORS.devices[0], _ACTORS.sensors[0], t), SensorState.ACTIVE))
+    return close_chunk(chunk, rng.randbytes(32), _ACTORS.enclave)
+
+
+def assert_manifest_is_dumps(store):
+    """manifest.json holds exactly the compact JSON of `store.manifest`."""
+    raw = store.manifest_path.read_bytes()
+    assert raw == json.dumps(json.loads(raw), separators=(",", ":")).encode()
+    assert raw == json.dumps(store.manifest, separators=(",", ":")).encode()
+
+
+_MANIFEST_STEPS = ("close", "bulk", "reput", "swap", "truncate", "delete", "pop",
+                   "reorder", "terminal", "reopen")
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(st.sampled_from(_MANIFEST_STEPS), min_size=1, max_size=12))
+def test_manifest_bytes_equal_json_dumps_after_every_step(steps):
+    rng = random.Random(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        store, sealer = _live_sealer(root)
+        for i in range(12):  # live closes, no bulk()
+            _submit(sealer, i)
+            assert_manifest_is_dumps(store)
+        sealer.finalize()
+        assert_manifest_is_dumps(store)
+        t = 10_000_000
+
+        def close():
+            nonlocal t
+            t += 1_000
+            index = max(store.indices(), default=0) + 1
+            store.put_sealed_chunk(_one_record_chunk(index, t, rng))
+
+        truncated = set()  # chunks that no longer parse, so are not re-put or swapped
+        for step in steps:
+            indices = store.indices()
+            intact = [i for i in indices if i not in truncated]
+            if step == "close":
+                close()
+            elif step == "bulk":
+                with store.bulk():
+                    for _ in range(3):
+                        close()
+            elif step == "reput" and intact:
+                index = rng.choice(intact)
+                parsed = parse_chunk(store.chunk_raw(index))
+                store.put_chunk(store.manifest["chunks"][str(index)]["file"],
+                                replace(parsed, ruleset_digest=bytes(32)))
+            elif step in ("swap", "truncate", "delete") and len(intact) >= 2:
+                kind = {"swap": TamperKind.SWAP_CHUNKS, "truncate": TamperKind.TRUNCATE_CHUNK,
+                        "delete": TamperKind.DELETE_CHUNK}[step]
+                x, y = rng.sample(intact, 2)
+                apply_tamper(root, TamperAction(kind, chunk=x, other_chunk=y), rng)
+                if step == "truncate":
+                    truncated.add(x)
+                store = ChunkStore(root)  # the harness wrote through a store of its own
+            elif step == "pop" and indices:
+                store.manifest["chunks"].pop(str(rng.choice(indices)))
+                store._save_manifest()
+            elif step == "reorder":  # a direct edit that moves the first top-level key last
+                key = next(iter(store.manifest))
+                store.manifest[key] = store.manifest.pop(key)
+                store._save_manifest()
+            elif step == "terminal":
+                store.set_terminal(rng.randbytes(32))
+            elif step == "reopen":
+                store = ChunkStore(root)
+                close()  # the first write of a reopened store
+            assert_manifest_is_dumps(store)
+
+
+def test_live_closes_encode_one_manifest_entry_each(tmp_path, monkeypatch):
+    whole, entries = [], []
+
+    def counting_dumps(obj, **kw):
+        if "chunks" in obj:
+            whole.append(len(obj["chunks"]))
+        else:
+            entries.append(obj)
+        return json.dumps(obj, **kw)
+
+    monkeypatch.setattr(store_module, "json", SimpleNamespace(dumps=counting_dumps,
+                                                               loads=json.loads))
+    store, sealer = _live_sealer(tmp_path / "store")
+    for i in range(200):
+        _submit(sealer, i * 2)  # 1,400 ms apart: every reading opens a chunk
+    sealer.finalize()
+    assert len(store.indices()) == 200
+    # one entry per close, plus the whole-object writes of initialize and set_terminal
+    # (the whole-manifest rewrite per close encoded 20,100 entries)
+    assert len(entries) == 200
+    assert whole == [0, 200]
+    assert_manifest_is_dumps(store)
+
+
+def test_failed_manifest_write_is_not_spliced_onto(tmp_path, monkeypatch):
+    rng = random.Random(1)
+    store = ChunkStore(tmp_path / "store")
+    store.initialize(rng.randbytes(32))
+    store.put_sealed_chunk(_one_record_chunk(1, 1_000, rng))
+    real_write = store_module._atomic_write
+
+    def full_disk(path, data):
+        if path == store.manifest_path:
+            raise OSError(28, "No space left on device")
+        real_write(path, data)
+
+    monkeypatch.setattr(store_module, "_atomic_write", full_disk)
+    with pytest.raises(OSError):
+        store.put_sealed_chunk(_one_record_chunk(2, 2_000, rng))
+    monkeypatch.setattr(store_module, "_atomic_write", real_write)
+    store.put_sealed_chunk(_one_record_chunk(3, 3_000, rng))
+    assert store.indices() == [1, 2, 3]
+    assert_manifest_is_dumps(store)
